@@ -1,11 +1,10 @@
 //! Per-device execution engine: serial or worker-threaded, with a
 //! deterministic completion merge.
 //!
-//! `Ssd` is `!Send` (its DRAM is an `Rc`-shared cell), so devices can
-//! never migrate between threads. Instead each worker thread *builds
+//! Devices never migrate between threads: each worker thread *builds
 //! and owns* its devices — forked on-thread from a shared
 //! `Arc<SsdImage>` or constructed fresh from the (Copy, Send) config —
-//! and only `Send` command/reply values cross the channel. The calling
+//! and only command/reply values cross the channel. The calling
 //! thread is executor 0 and runs its own share of devices while the
 //! workers run theirs, the same caller-participates shape as
 //! `assasin_parallel::par_map`.

@@ -7,7 +7,7 @@ use assasin_mem::{
     AccessKind, MemHierarchy, ReadOutcome, Scratchpad, ServedBy, SharedDram, StreamBuffer,
 };
 use assasin_sim::stats::CycleBreakdown;
-use assasin_sim::SimTime;
+use assasin_sim::{Clock, SimTime};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -960,13 +960,7 @@ impl Core {
     /// Converts an absolute completion time into extra stall cycles beyond
     /// the instruction's base cycle, advancing nothing.
     fn stall_cycles(&self, issue: SimTime, complete: SimTime) -> u64 {
-        // Steady-state accesses complete within the issue cycle; skip the
-        // division entirely (ceil(0) - 1 saturates to 0 anyway).
-        if complete <= issue {
-            return 0;
-        }
-        let dur = complete.saturating_since(issue);
-        self.cfg.clock.dur_to_cycles_ceil(dur).saturating_sub(1)
+        stall_cycles(self.cfg.clock, issue, complete)
     }
 
     /// Runs until `deadline` (exclusive) or until the core stops. Returns
@@ -987,12 +981,18 @@ impl Core {
     pub fn run(&mut self, env: &mut dyn StreamEnv, deadline: SimTime) -> RunOutcome {
         let period = self.cfg.clock.period_ps();
         self.run_cycles(env, deadline.as_ps() / period);
+        self.outcome()
+    }
+
+    /// Why the last run stopped, as [`RunOutcome`].
+    fn outcome(&self) -> RunOutcome {
         match self.state {
             CoreState::Running => {
                 // Stalls are charged eagerly (the local clock jumps past
                 // them), so the next instruction retires in cycle
                 // `self.cycle` — observable once the deadline covers the
                 // end of that cycle.
+                let period = self.cfg.clock.period_ps();
                 RunOutcome::BlockedUntil(SimTime::from_ps((self.cycle + 1) * period))
             }
             CoreState::Halted => RunOutcome::Halted,
@@ -1005,11 +1005,63 @@ impl Core {
     /// is below `cycle_limit`, then flushes the batched per-instruction
     /// counters.
     pub(crate) fn run_cycles(&mut self, env: &mut dyn StreamEnv, cycle_limit: u64) {
+        self.dispatch::<false>(env, cycle_limit);
+    }
+
+    /// Like [`Core::run`], but also stops just before an instruction that
+    /// would call the environment's shared half: a `StreamStore` that
+    /// completes an output page ([`StreamEnv::drain_page`]) or `buf.swap 1`
+    /// ([`StreamEnv::drain_bank`]). Returns `None` in that case, with the
+    /// instruction not yet issued — `pc`, cycle and counters are exactly
+    /// where a [`Core::run`] continuing from here expects them. Every other
+    /// stop reports what [`Core::run`] would.
+    ///
+    /// Input refills and bank assembly still go to `env`: they are the
+    /// core's private feed. The SSD runs several cores this way on two
+    /// host threads at once, each core against its own feed.
+    pub fn run_local(&mut self, env: &mut dyn StreamEnv, deadline: SimTime) -> Option<RunOutcome> {
+        let period = self.cfg.clock.period_ps();
+        if self.dispatch::<true>(env, deadline.as_ps() / period) {
+            return None;
+        }
+        Some(self.outcome())
+    }
+
+    /// The dispatch loop behind [`Core::run_cycles`] and
+    /// [`Core::run_local`]. With `LOCAL` it stops before any slot that
+    /// [`Core::calls_shared`] and returns true; without it the check
+    /// compiles away.
+    #[inline(always)]
+    fn dispatch<const LOCAL: bool>(&mut self, env: &mut dyn StreamEnv, cycle_limit: u64) -> bool {
         let mut retired = 0u64;
+        let mut at_shared = false;
         while self.state == CoreState::Running && self.cycle < cycle_limit {
-            retired += self.step_inner(env, cycle_limit) as u64;
+            let Some(&slot) = self.code.get(self.pc as usize) else {
+                self.wedge("pc past end of program".into());
+                break;
+            };
+            if LOCAL && self.calls_shared(slot) {
+                at_shared = true;
+                break;
+            }
+            retired += self.exec_slot(slot, env, cycle_limit) as u64;
         }
         self.flush_retired(retired);
+        at_shared
+    }
+
+    /// Would executing `slot` now call [`StreamEnv::drain_page`] or
+    /// [`StreamEnv::drain_bank`]? Errs toward yes: a store the
+    /// streambuffer would reject counts too.
+    #[inline(always)]
+    fn calls_shared(&self, slot: Slot) -> bool {
+        match slot {
+            Slot::StreamStore { sid, width, .. } => {
+                !self.sbuf.write_is_local(sid as u32, width as u32)
+            }
+            Slot::BufSwap { bank } => bank == 1,
+            _ => false,
+        }
     }
 
     /// Runs to completion (no deadline). Mostly for tests; the SSD uses
@@ -1759,38 +1811,49 @@ impl Core {
         bank: u8,
         issue: SimTime,
     ) -> Result<(), String> {
-        let Some(_) = self.staging else {
+        let Some(staging) = self.staging.as_mut() else {
             return Err("buf.swap without ping-pong buffers".into());
         };
-        match bank {
-            0 => {
-                match env.next_input_bank(self.id, issue) {
-                    Some((data, ready)) => {
-                        let staging = self.staging.as_mut().expect("checked");
-                        staging.install_input(data);
-                        let stall = self.stall_cycles(issue, ready);
-                        self.charge(stall, |b| &mut b.stall_swap);
-                    }
-                    None => {
-                        self.staging.as_mut().expect("checked").set_exhausted();
-                    }
+        // `staging` borrows one field; the stall is charged through the
+        // clock/breakdown fields directly so the borrow can stay live.
+        let clock = self.cfg.clock;
+        let (ready, data) = match bank {
+            0 => match env.next_input_bank(self.id, issue) {
+                Some((data, ready)) => {
+                    staging.install_input(data);
+                    (ready, None)
                 }
-                Ok(())
-            }
-            1 => {
-                let staging = self.staging.as_mut().expect("checked");
-                let prev_done = staging.drain_done();
-                let data = staging.take_output();
-                let stall = self.stall_cycles(issue, prev_done);
-                self.charge(stall, |b| &mut b.stall_swap);
-                let now = self.local_time().max(prev_done);
-                let done = env.drain_bank(self.id, data, now);
-                self.staging.as_mut().expect("checked").set_drain_done(done);
-                Ok(())
-            }
-            other => Err(format!("buf.swap of unknown bank {other}")),
+                None => {
+                    staging.set_exhausted();
+                    return Ok(());
+                }
+            },
+            1 => (staging.drain_done(), Some(staging.take_output())),
+            other => return Err(format!("buf.swap of unknown bank {other}")),
+        };
+        let stall = stall_cycles(clock, issue, ready);
+        self.breakdown.stall_swap += stall;
+        self.cycle += stall;
+        if let Some(data) = data {
+            let now = clock.cycle_time(SimTime::ZERO, self.cycle).max(ready);
+            let done = env.drain_bank(self.id, data, now);
+            staging.set_drain_done(done);
         }
+        Ok(())
     }
+}
+
+/// Extra stall cycles, beyond the instruction's base cycle, for an access
+/// issued at `issue` that completes at `complete`.
+#[inline(always)]
+fn stall_cycles(clock: Clock, issue: SimTime, complete: SimTime) -> u64 {
+    // Steady-state accesses complete within the issue cycle; skip the
+    // division entirely (ceil(0) - 1 saturates to 0 anyway).
+    if complete <= issue {
+        return 0;
+    }
+    let dur = complete.saturating_since(issue);
+    clock.dur_to_cycles_ceil(dur).saturating_sub(1)
 }
 
 fn sign_extend(v: u32, width: u32) -> u32 {
@@ -2106,6 +2169,97 @@ mod tests {
         assert!(core.breakdown().stall_dram > 0);
         let (hits, misses) = core.hierarchy().unwrap().l1_counters().unwrap();
         assert_eq!((hits, misses), (1, 1));
+    }
+
+    #[test]
+    fn core_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Core>();
+    }
+
+    /// Runs `core` to halt in `run_local` slices, executing each shared
+    /// instruction it stops before with one `step`. Returns the stops.
+    fn run_local_to_halt(core: &mut Core, env: &mut SyntheticEnv) -> u64 {
+        let mut stops = 0;
+        while core.state() == &CoreState::Running {
+            if core.run_local(env, SimTime::from_ms(1)).is_none() {
+                stops += 1;
+                core.step(env);
+            }
+        }
+        stops
+    }
+
+    fn snapshot(core: &Core) -> Vec<u8> {
+        let mut enc = assasin_snap::Encoder::with_capacity(1 << 12);
+        core.save_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn run_local_stops_before_page_drains_and_resumes_exactly() {
+        let mut asm = Assembler::new();
+        let top = asm.label();
+        asm.bind(top);
+        asm.stream_load(Reg::A0, 0, 4);
+        asm.stream_store(0, 4, Reg::A0);
+        asm.j(top);
+        let program = asm.finish().unwrap();
+        let data: Vec<u8> = (0..1024u32).flat_map(|i| i.to_le_bytes()).collect();
+        let env_for = || {
+            let mut env = SyntheticEnv::new(8, 256);
+            env.set_input(0, &data);
+            env.set_rate(Some(1.0e9));
+            env
+        };
+        let (mut env_a, mut env_b) = (env_for(), env_for());
+        let mut a = Core::new(0, CoreConfig::assasin_sb(), program.clone(), None);
+        let mut b = Core::new(0, CoreConfig::assasin_sb(), program, None);
+        a.run_to_halt(&mut env_a);
+        let stops = run_local_to_halt(&mut b, &mut env_b);
+        // One stop per completed output page, none for the partial tail.
+        let page = CoreConfig::assasin_sb().streambuffer.page_bytes as u64;
+        assert_eq!(stops, data.len() as u64 / page);
+        assert_eq!(snapshot(&a), snapshot(&b));
+        assert_eq!(env_a.output(0), env_b.output(0));
+    }
+
+    #[test]
+    fn run_local_stops_before_output_bank_swaps_and_resumes_exactly() {
+        // Per bank: swap in, copy its first byte to the output bank, swap
+        // out.
+        let mut asm = Assembler::new();
+        let outer = asm.label();
+        let done = asm.label();
+        asm.bind(outer);
+        asm.buf_swap(0);
+        asm.csrr(Reg::A0, Core::CSR_IN_BANK_LEN);
+        asm.beqz(Reg::A0, done);
+        asm.li(Reg::S0, layout::STAGING_IN_BASE as i64);
+        asm.li(Reg::S1, layout::STAGING_OUT_BASE as i64);
+        asm.lbu(Reg::T0, Reg::S0, 0);
+        asm.sb(Reg::T0, Reg::S1, 0);
+        asm.buf_swap(1);
+        asm.j(outer);
+        asm.bind(done);
+        asm.halt();
+        let program = asm.finish().unwrap();
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        let env_for = || {
+            let mut env = SyntheticEnv::new(1, 64);
+            env.set_banks(&data, 128);
+            env.set_rate(Some(1.0e9));
+            env
+        };
+        let (mut env_a, mut env_b) = (env_for(), env_for());
+        let mut a = Core::new(0, CoreConfig::assasin_sp(), program.clone(), None);
+        let mut b = Core::new(0, CoreConfig::assasin_sp(), program, None);
+        a.run_to_halt(&mut env_a);
+        let stops = run_local_to_halt(&mut b, &mut env_b);
+        assert_eq!(stops, data.len().div_ceil(128) as u64);
+        assert_eq!(b.state(), &CoreState::Halted);
+        assert_eq!(snapshot(&a), snapshot(&b));
+        assert_eq!(env_a.bank_output(), env_b.bank_output());
     }
 
     #[test]

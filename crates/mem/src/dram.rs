@@ -1,8 +1,7 @@
 //! The SSD DRAM: a latency plus a shared bandwidth resource.
 
 use assasin_sim::{Bandwidth, SimDur, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The SSD's DRAM chip (Section II-A): page staging buffer, request queues
 /// and FTL metadata all live here. Every consumer — flash controllers
@@ -16,9 +15,29 @@ pub struct Dram {
     bus: Bandwidth,
 }
 
-/// Shared handle to the SSD DRAM. The simulation is single-threaded per
-/// SSD instance; `Rc<RefCell<_>>` models the physically-shared bus.
-pub type SharedDram = Rc<RefCell<Dram>>;
+/// Shared handle to the SSD DRAM: the physically shared bus that every
+/// cache hierarchy, staging path and host DMA of one device posts to.
+///
+/// The handle is `Send`, so a device and the cores holding it can move
+/// between host threads. Only one thread at a time uses a device's DRAM
+/// (the co-simulation makes every shared-resource call from the calling
+/// thread), so the lock never contends.
+#[derive(Debug, Clone)]
+pub struct SharedDram(Arc<Mutex<Dram>>);
+
+impl SharedDram {
+    /// Exclusive access to the DRAM model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a thread panicked while holding it (the bus schedule may
+    /// be half-updated).
+    pub fn lock(&self) -> MutexGuard<'_, Dram> {
+        self.0
+            .lock()
+            .expect("DRAM lock poisoned: a thread panicked mid-access")
+    }
+}
 
 impl Dram {
     /// Creates a DRAM with the given access latency and sustained bandwidth.
@@ -37,7 +56,7 @@ impl Dram {
 
     /// Wraps a DRAM in a shared handle.
     pub fn into_shared(self) -> SharedDram {
-        Rc::new(RefCell::new(self))
+        SharedDram(Arc::new(Mutex::new(self)))
     }
 
     /// A demand access of `bytes` issued at `ready`: waits for a bus slot,
@@ -126,6 +145,16 @@ mod tests {
         let b = d.access(SimTime::ZERO, 4096);
         assert!(b > a);
         assert_eq!(d.bytes_moved(), 8192);
+    }
+
+    #[test]
+    fn shared_handle_is_send_and_shares_one_bus() {
+        fn assert_send<T: Send>() {}
+        assert_send::<SharedDram>();
+        let a = Dram::new(SimDur::from_ns(100), 1.0e9).into_shared();
+        let b = a.clone();
+        a.lock().post(SimTime::ZERO, 1000);
+        assert_eq!(b.lock().bytes_moved(), 1000);
     }
 
     #[test]

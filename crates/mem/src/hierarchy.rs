@@ -114,7 +114,7 @@ impl MemHierarchy {
     pub fn new(cfg: HierarchyConfig, dram: SharedDram) -> Self {
         let line_bytes = cfg.l1.or(cfg.l2).map(|g| g.line_bytes).unwrap_or(64);
         let exposed_dram_latency =
-            SimDur::from_secs_f64(dram.borrow().latency().as_secs_f64() * cfg.mlp_latency_factor);
+            SimDur::from_secs_f64(dram.lock().latency().as_secs_f64() * cfg.mlp_latency_factor);
         MemHierarchy {
             l1: cfg.l1.map(Cache::new),
             l2: cfg.l2.map(Cache::new),
@@ -230,13 +230,13 @@ impl MemHierarchy {
         self.dram_fill_bytes += fill;
         let done = match kind {
             AccessKind::Load => {
-                let bus = self.dram.borrow_mut().post(ready, fill);
+                let bus = self.dram.lock().post(ready, fill);
                 bus + self.exposed_dram_latency
             }
             // Store misses fetch the line for ownership but retire through
             // the store buffer: traffic yes, stall no.
             AccessKind::Store => {
-                self.dram.borrow_mut().post(ready, fill);
+                self.dram.lock().post(ready, fill);
                 ready + self.cfg.l1_hit
             }
         };
@@ -261,7 +261,7 @@ impl MemHierarchy {
             let fill = self.line_bytes as u64 * self.cfg.fill_bytes_factor as u64;
             self.dram_fill_bytes += fill;
             let ready = {
-                let bus = self.dram.borrow_mut().post(now, fill);
+                let bus = self.dram.lock().post(now, fill);
                 bus + self.exposed_dram_latency
             };
             self.inflight_pf.insert(line, ready);
@@ -269,7 +269,7 @@ impl MemHierarchy {
     }
 
     fn writeback(&mut self, _line: u64, ready: SimTime) {
-        self.dram.borrow_mut().post(ready, self.line_bytes as u64);
+        self.dram.lock().post(ready, self.line_bytes as u64);
     }
 
     /// Demand-fill traffic brought from DRAM so far, in bytes.

@@ -373,6 +373,18 @@ impl StreamBuffer {
         })
     }
 
+    /// True when [`StreamBuffer::write`] of `width` bytes to `sid` would
+    /// succeed without completing a page — the store touches only this
+    /// buffer and hands nothing to the firmware. False when it would
+    /// complete a page or fail.
+    pub fn write_is_local(&self, sid: u32, width: u32) -> bool {
+        matches!(width, 1 | 2 | 4 | 8)
+            && self
+                .outs
+                .get(sid as usize)
+                .is_some_and(|s| s.current.len() + (width as usize) < self.cfg.page_bytes as usize)
+    }
+
     /// Registers the drain completion time of a page previously returned by
     /// [`StreamBuffer::write`] or [`StreamBuffer::flush`]: its ring slot
     /// stays occupied until `done`.
@@ -626,6 +638,21 @@ mod tests {
         sb.note_drain(0, SimTime::from_us(1)).unwrap();
         let o = sb.write(0, 1, 9, SimTime::ZERO).unwrap();
         assert_eq!(o.ready, SimTime::from_us(1), "ring full -> stall");
+    }
+
+    #[test]
+    fn write_is_local_predicts_page_completion() {
+        let mut sb = StreamBuffer::new(cfg(2, 8));
+        assert!(!sb.write_is_local(0, 3), "bad width fails");
+        assert!(!sb.write_is_local(9, 1), "bad stream fails");
+        for (i, width) in [4u32, 2, 1, 1, 4, 4, 8, 2].into_iter().enumerate() {
+            let local = sb.write_is_local(0, width);
+            let o = sb.write(0, width, i as u64, SimTime::ZERO).unwrap();
+            assert_eq!(local, o.completed_page.is_none(), "write {i}");
+            if o.completed_page.is_some() {
+                sb.note_drain(0, SimTime::ZERO).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! crossbar, assembles ping-pong banks, and drains results to the host
 //! (Figure 10's control loop, driven demand-side by the cores).
 
-use crate::request::OutputTarget;
 use crate::SsdError;
 use assasin_core::StreamEnv;
 use assasin_flash::{FlashArray, FlashError, PhysPageAddr};
@@ -24,6 +23,36 @@ pub(crate) struct FlashOut {
     /// Latest program completion per engine (durability horizon).
     pub prog_done: Vec<SimTime>,
     pub page_bytes: u32,
+}
+
+impl FlashOut {
+    /// Writes engine `core`'s pending output page (padded if partial) to
+    /// its next LPA. Returns the bus completion (buffer-free time), or
+    /// `now` when nothing is pending.
+    ///
+    /// # Errors
+    ///
+    /// The FTL's typed error when the program fails (no space left in
+    /// the device, media failure).
+    pub(crate) fn flush(
+        &mut self,
+        core: usize,
+        ftl: &mut Ftl,
+        flash: &mut FlashArray,
+        now: SimTime,
+    ) -> Result<SimTime, SsdError> {
+        if self.fill[core].is_empty() {
+            return Ok(now);
+        }
+        let mut page = std::mem::take(&mut self.fill[core]);
+        page.resize(self.page_bytes as usize, 0);
+        let lpa = Lpa(self.next[core]);
+        self.next[core] += 1;
+        self.lpas[core].push(lpa);
+        let (bus_done, prog_done) = ftl.write_detailed(flash, lpa, Bytes::from(page), now)?;
+        self.prog_done[core] = self.prog_done[core].max(prog_done);
+        Ok(bus_done)
+    }
 }
 
 /// One scheduled piece of an input stream: a flash page, possibly trimmed
@@ -121,30 +150,194 @@ impl PageQueue {
     }
 }
 
-/// The data plane servicing all cores of one `scomp` execution.
-pub(crate) struct Backend<'a> {
-    pub flash: &'a mut FlashArray,
-    pub ftl: &'a mut Ftl,
-    /// Where drained output goes.
-    pub target: OutputTarget,
-    /// Write-path bookkeeping (Some iff `target` is flash).
-    pub flash_out: Option<FlashOut>,
-    pub dram: SharedDram,
-    pub pcie: &'a mut Bandwidth,
-    /// Pre-scheduled page deliveries, [core][stream].
-    pub scheduled: Vec<Vec<PageQueue>>,
-    pub outputs: Vec<Vec<u8>>,
-    /// Latest output-drain completion per core.
-    pub out_done: Vec<SimTime>,
-    pub pcie_latency: SimDur,
+/// One core's private slice of the data plane: its pre-scheduled page
+/// deliveries and the input bytes it has pulled. Refills and bank
+/// assembly touch nothing else, so a core and its feed can run on a host
+/// thread of their own between shared-backend calls (DESIGN.md §11).
+#[derive(Debug)]
+pub(crate) struct CoreFeed {
+    /// Pre-scheduled page deliveries, one queue per input stream.
+    pub queues: Vec<PageQueue>,
+    /// Input bytes fetched by this core (excl. boundary refetch).
+    pub streamed: u64,
     /// Ping-pong bank capacity (AssasinSp).
     pub bank_bytes: u32,
     /// Object granularity for bank assembly.
     pub granularity: u32,
-    /// Input bytes actually streamed out of flash (excl. boundary refetch).
-    pub bytes_streamed: u64,
-    /// Per-core input bytes fetched.
-    pub per_core_streamed: Vec<u64>,
+}
+
+impl CoreFeed {
+    /// Tops up input ring `sid` from this core's queue; closes the ring
+    /// once the queue is spent.
+    fn refill(&mut self, sid: u32, sbuf: &mut StreamBuffer) {
+        loop {
+            // A bad stream id means the core requested a refill for a ring
+            // that does not exist — nothing to feed, so stop; the core's
+            // own StreamLoad on that id surfaces the error.
+            match sbuf.free_slots(sid) {
+                Ok(0) | Err(_) => return,
+                Ok(_) => {}
+            }
+            let Some(page) = self.queues.get_mut(sid as usize).and_then(|q| q.pop()) else {
+                let _ = sbuf.close(sid);
+                return;
+            };
+            self.streamed += page.data.len() as u64;
+            sbuf.push_page(sid, page.data, page.arrival)
+                .expect("slot checked");
+        }
+    }
+
+    /// Assembles the next ping-pong input bank: an equal chunk from every
+    /// stream so the kernel's `chunk = len / n_in` layout holds.
+    fn next_bank(&mut self, now: SimTime) -> Option<(Bytes, SimTime)> {
+        let n_in = self.queues.len().max(1);
+        let chunk_target = {
+            let per = self.bank_bytes as usize / n_in;
+            (per / self.granularity as usize).max(1) * self.granularity as usize
+        };
+        if self.queues.iter().all(|q| q.is_empty()) {
+            return None;
+        }
+        let mut bank = Vec::with_capacity(chunk_target * n_in);
+        let mut ready = now;
+        let take: usize = self
+            .queues
+            .iter()
+            .map(|q| {
+                let rem: usize = q.remaining().iter().map(|p| p.data.len()).sum();
+                rem.min(chunk_target)
+            })
+            .min()
+            .unwrap_or(0);
+        for q in &mut self.queues {
+            let mut got = 0usize;
+            while got < take {
+                let Some(front) = q.front_mut() else {
+                    break;
+                };
+                let want = take - got;
+                ready = ready.max(front.arrival);
+                let piece = if front.data.len() <= want {
+                    std::mem::take(&mut front.data)
+                } else {
+                    let head = front.data.slice(..want);
+                    front.data = front.data.slice(want..);
+                    head
+                };
+                if front.data.is_empty() {
+                    q.pop();
+                }
+                got += piece.len();
+                self.streamed += piece.len() as u64;
+                bank.extend_from_slice(&piece);
+            }
+        }
+        if bank.is_empty() {
+            return None;
+        }
+        Some((Bytes::from(bank), ready))
+    }
+}
+
+/// Phase 1's environment: the core's own feed. `Core::run_local` stops
+/// before every instruction that would drain, so the drain arms are
+/// never reached.
+impl StreamEnv for CoreFeed {
+    fn refill_stream(&mut self, _core: usize, sid: u32, _now: SimTime, sbuf: &mut StreamBuffer) {
+        self.refill(sid, sbuf);
+    }
+
+    fn drain_page(&mut self, _core: usize, _sid: u32, _page: Bytes, _now: SimTime) -> SimTime {
+        unreachable!("run_local stops before a StreamStore that completes a page")
+    }
+
+    fn next_input_bank(&mut self, _core: usize, now: SimTime) -> Option<(Bytes, SimTime)> {
+        self.next_bank(now)
+    }
+
+    fn drain_bank(&mut self, _core: usize, _data: Bytes, _now: SimTime) -> SimTime {
+        unreachable!("run_local stops before buf.swap 1")
+    }
+}
+
+/// Where a request's results go. The write path's per-engine state lives
+/// in the variant that needs it.
+#[derive(Debug)]
+pub(crate) enum Sink {
+    /// Read path: staged in DRAM, DMA'd to the host over PCIe.
+    Host,
+    /// Write path: programmed straight back into flash pages.
+    Flash(FlashOut),
+}
+
+/// The half of the data plane that all cores of one `scomp` share: flash,
+/// FTL, DRAM, PCIe and the output sink. Every call into it happens on the
+/// calling thread, in core order.
+pub(crate) struct SharedPlane<'a> {
+    pub flash: &'a mut FlashArray,
+    pub ftl: &'a mut Ftl,
+    pub sink: Sink,
+    pub dram: SharedDram,
+    pub pcie: &'a mut Bandwidth,
+    pub outputs: Vec<Vec<u8>>,
+    /// Latest output-drain completion per core.
+    pub out_done: Vec<SimTime>,
+    pub pcie_latency: SimDur,
+    /// The first failed write-path program. A drain cannot fail the core
+    /// that issued it, so the failure is held here and the request returns
+    /// it after the round.
+    pub failure: Option<SsdError>,
+}
+
+impl SharedPlane<'_> {
+    /// Drains `bytes` of results to the request's output target. Returns
+    /// when the producing buffer frees (the ring-slot release time).
+    pub(crate) fn drain(&mut self, core: usize, data: &[u8], now: SimTime) -> SimTime {
+        self.outputs[core].extend_from_slice(data);
+        let done = match &mut self.sink {
+            Sink::Host => {
+                // Read path: stage in DRAM, DMA to the host.
+                let staged = self.dram.lock().post(now, data.len() as u64);
+                self.pcie.transfer(staged, data.len() as u64) + self.pcie_latency
+            }
+            Sink::Flash(fo) => {
+                // Write path: results go straight back through the crossbar
+                // into flash pages — no DRAM, no PCIe.
+                let mut buffered = now;
+                let mut rest = data;
+                while !rest.is_empty() {
+                    let room = fo.page_bytes as usize - fo.fill[core].len();
+                    let (head, tail) = rest.split_at(room.min(rest.len()));
+                    fo.fill[core].extend_from_slice(head);
+                    rest = tail;
+                    if fo.fill[core].len() == fo.page_bytes as usize {
+                        match fo.flush(core, self.ftl, self.flash, now) {
+                            Ok(bus_done) => buffered = buffered.max(bus_done),
+                            Err(e) => {
+                                self.failure.get_or_insert(e);
+                            }
+                        }
+                    }
+                }
+                buffered
+            }
+        };
+        self.out_done[core] = self.out_done[core].max(done);
+        done
+    }
+
+    /// Returns (and clears) the first write-path failure, if any.
+    pub(crate) fn take_failure(&mut self) -> Result<(), SsdError> {
+        self.failure.take().map_or(Ok(()), Err)
+    }
+}
+
+/// The data plane servicing all cores of one `scomp` execution: one
+/// private feed per core plus the shared half.
+pub(crate) struct Backend<'a> {
+    pub feeds: Vec<CoreFeed>,
+    pub shared: SharedPlane<'a>,
 }
 
 impl Backend<'_> {
@@ -159,103 +352,24 @@ impl Backend<'_> {
     /// from inside core execution — a round in which no core runs has no
     /// backend side effects to miss (DESIGN.md §11).
     pub(crate) fn next_event(&self, now: SimTime) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            if t > now && earliest.is_none_or(|e| t < e) {
-                earliest = Some(t);
-            }
+        let arrivals = self
+            .feeds
+            .iter()
+            .flat_map(|f| f.queues.iter().filter_map(|q| q.next_arrival()));
+        let programs = match &self.shared.sink {
+            Sink::Host => &[][..],
+            Sink::Flash(fo) => &fo.prog_done[..],
         };
-        for streams in &self.scheduled {
-            for q in streams {
-                if let Some(t) = q.next_arrival() {
-                    consider(t);
-                }
-            }
-        }
-        for &t in &self.out_done {
-            consider(t);
-        }
-        if let Some(fo) = &self.flash_out {
-            for &t in &fo.prog_done {
-                consider(t);
-            }
-        }
-        earliest
+        arrivals
+            .chain(self.shared.out_done.iter().copied())
+            .chain(programs.iter().copied())
+            .filter(|&t| t > now)
+            .min()
     }
 
-    /// Drains `bytes` of results to the request's output target. Returns
-    /// when the producing buffer frees (the ring-slot release time).
-    pub(crate) fn drain(&mut self, core: usize, data: &[u8], now: SimTime) -> SimTime {
-        self.outputs[core].extend_from_slice(data);
-        match self.target {
-            OutputTarget::Host => {
-                // Read path: stage in DRAM, DMA to the host.
-                let staged = self.dram.borrow_mut().post(now, data.len() as u64);
-                let done = self.pcie.transfer(staged, data.len() as u64) + self.pcie_latency;
-                self.out_done[core] = self.out_done[core].max(done);
-                done
-            }
-            OutputTarget::Flash { .. } => {
-                // Write path: results go straight back through the crossbar
-                // into flash pages — no DRAM, no PCIe.
-                let mut buffered = now;
-                let mut cursor = 0usize;
-                while cursor < data.len() {
-                    let page_bytes = {
-                        let fo = self.flash_out.as_ref().expect("write-path state");
-                        fo.page_bytes as usize
-                    };
-                    let room = {
-                        let fo = self.flash_out.as_mut().expect("write-path state");
-                        page_bytes - fo.fill[core].len()
-                    };
-                    let take = room.min(data.len() - cursor);
-                    {
-                        let fo = self.flash_out.as_mut().expect("write-path state");
-                        fo.fill[core].extend_from_slice(&data[cursor..cursor + take]);
-                    }
-                    cursor += take;
-                    let full = {
-                        let fo = self.flash_out.as_ref().expect("write-path state");
-                        fo.fill[core].len() == page_bytes
-                    };
-                    if full {
-                        buffered = buffered.max(self.flush_out_page(core, now));
-                    }
-                }
-                self.out_done[core] = self.out_done[core].max(buffered);
-                buffered
-            }
-        }
-    }
-
-    /// Writes the engine's pending output page (padded if partial) to its
-    /// next LPA. Returns the bus completion (buffer-free time).
-    pub(crate) fn flush_out_page(&mut self, core: usize, now: SimTime) -> SimTime {
-        let page_bytes = self
-            .flash_out
-            .as_ref()
-            .expect("write-path state")
-            .page_bytes as usize;
-        let (lpa, page) = {
-            let fo = self.flash_out.as_mut().expect("write-path state");
-            if fo.fill[core].is_empty() {
-                return now;
-            }
-            let mut page = std::mem::take(&mut fo.fill[core]);
-            page.resize(page_bytes, 0);
-            let lpa = Lpa(fo.next[core]);
-            fo.next[core] += 1;
-            fo.lpas[core].push(lpa);
-            (lpa, Bytes::from(page))
-        };
-        let (bus_done, prog_done) = self
-            .ftl
-            .write_detailed(self.flash, lpa, page, now)
-            .expect("write-path region stays within exported capacity");
-        let fo = self.flash_out.as_mut().expect("write-path state");
-        fo.prog_done[core] = fo.prog_done[core].max(prog_done);
-        bus_done
+    /// Input bytes actually streamed out of flash, over all cores.
+    pub(crate) fn bytes_streamed(&self) -> u64 {
+        self.feeds.iter().map(|f| f.streamed).sum()
     }
 }
 
@@ -341,89 +455,55 @@ pub(crate) fn schedule_plans(
     Ok(scheduled)
 }
 
+/// The whole data plane as one environment, routing each core to its
+/// feed and every drain to the shared half (request setup, the final
+/// flush, and the lane executor).
 impl StreamEnv for Backend<'_> {
     fn refill_stream(&mut self, core: usize, sid: u32, _now: SimTime, sbuf: &mut StreamBuffer) {
-        loop {
-            // A bad stream id means the core requested a refill for a ring
-            // that does not exist — nothing to feed, so stop; the core's
-            // own StreamLoad on that id surfaces the error.
-            match sbuf.free_slots(sid) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            let Some(page) = self.scheduled[core]
-                .get_mut(sid as usize)
-                .and_then(|q| q.pop())
-            else {
-                let _ = sbuf.close(sid);
-                return;
-            };
-            let len = page.data.len() as u64;
-            self.bytes_streamed += len;
-            self.per_core_streamed[core] += len;
-            sbuf.push_page(sid, page.data, page.arrival)
-                .expect("slot checked");
-        }
+        self.feeds[core].refill(sid, sbuf);
     }
 
     fn drain_page(&mut self, core: usize, _sid: u32, page: Bytes, now: SimTime) -> SimTime {
-        self.drain(core, &page, now)
+        self.shared.drain(core, &page, now)
     }
 
     fn next_input_bank(&mut self, core: usize, now: SimTime) -> Option<(Bytes, SimTime)> {
-        let n_in = self.scheduled[core].len().max(1);
-        let chunk_target = {
-            let per = self.bank_bytes as usize / n_in;
-            (per / self.granularity as usize).max(1) * self.granularity as usize
-        };
-        if self.scheduled[core].iter().all(|q| q.is_empty()) {
-            return None;
-        }
-        let mut bank = Vec::with_capacity(chunk_target * n_in);
-        let mut ready = now;
-        // Pull an equal chunk from each stream so the kernel's
-        // `chunk = len / n_in` layout holds.
-        let take: usize = self.scheduled[core]
-            .iter()
-            .map(|q| {
-                let rem: usize = q.remaining().iter().map(|p| p.data.len()).sum();
-                rem.min(chunk_target)
-            })
-            .min()
-            .unwrap_or(0);
-        for sid in 0..n_in {
-            let mut got = 0usize;
-            while got < take {
-                let Some(front) = self.scheduled[core][sid].front_mut() else {
-                    break;
-                };
-                let want = take - got;
-                ready = ready.max(front.arrival);
-                let piece = if front.data.len() <= want {
-                    let page = self.scheduled[core][sid].pop().expect("front");
-                    page.data
-                } else {
-                    let head = front.data.slice(..want);
-                    front.data = front.data.slice(want..);
-                    head
-                };
-                got += piece.len();
-                self.bytes_streamed += piece.len() as u64;
-                self.per_core_streamed[core] += piece.len() as u64;
-                bank.extend_from_slice(&piece);
-            }
-        }
-        if bank.is_empty() {
-            return None;
-        }
-        Some((Bytes::from(bank), ready))
+        self.feeds[core].next_bank(now)
     }
 
     fn drain_bank(&mut self, core: usize, data: Bytes, now: SimTime) -> SimTime {
         if data.is_empty() {
             return now;
         }
-        self.drain(core, &data, now)
+        self.shared.drain(core, &data, now)
+    }
+}
+
+/// One core's environment during the round's shared phase: its own feed
+/// plus the shared half.
+pub(crate) struct CoreEnv<'e, 'a> {
+    pub feed: &'e mut CoreFeed,
+    pub shared: &'e mut SharedPlane<'a>,
+}
+
+impl StreamEnv for CoreEnv<'_, '_> {
+    fn refill_stream(&mut self, _core: usize, sid: u32, _now: SimTime, sbuf: &mut StreamBuffer) {
+        self.feed.refill(sid, sbuf);
+    }
+
+    fn drain_page(&mut self, core: usize, _sid: u32, page: Bytes, now: SimTime) -> SimTime {
+        self.shared.drain(core, &page, now)
+    }
+
+    fn next_input_bank(&mut self, _core: usize, now: SimTime) -> Option<(Bytes, SimTime)> {
+        self.feed.next_bank(now)
+    }
+
+    fn drain_bank(&mut self, core: usize, data: Bytes, now: SimTime) -> SimTime {
+        if data.is_empty() {
+            return now;
+        }
+        self.shared.drain(core, &data, now)
     }
 }
 

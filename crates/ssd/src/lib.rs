@@ -40,6 +40,7 @@ mod config;
 mod counters;
 mod error;
 mod request;
+mod round;
 mod ssd;
 
 pub use config::{CosimMode, SsdConfig};

@@ -1,14 +1,16 @@
 //! The SSD: plain IO paths plus the `scomp` compute path.
 
-use crate::backend::FlashOut;
-use crate::backend::{schedule_plans, split_ranges, Backend, PagePlan, StreamPlan};
-use crate::config::CosimMode;
+use crate::backend::{
+    schedule_plans, split_ranges, Backend, CoreFeed, FlashOut, PagePlan, SharedPlane, Sink,
+    StreamPlan,
+};
 use crate::counters::{record_cosim, record_lanes};
 use crate::request::OutputTarget;
+use crate::round::{run_rounds, Stop};
 use crate::{CoreReport, ScompRequest, ScompResult, SsdConfig, SsdError};
 use assasin_core::{
     run_lanes, AnyExec, Core, CoreConfig, CoreState, DramWindow, EngineKind, KernelProfile,
-    LaneGroup, RunOutcome, StreamEnv, SyntheticEnv, UdpLane,
+    LaneGroup, StreamEnv, SyntheticEnv, UdpLane,
 };
 use assasin_flash::FlashArray;
 use assasin_ftl::{placement::Placement, Ftl, Lpa};
@@ -74,8 +76,8 @@ pub struct Ssd {
 /// pointer bumps and shares every written page with its siblings until a
 /// write diverges a block.
 ///
-/// Unlike [`Ssd`] (whose shared-DRAM handle is single-threaded), an image
-/// is `Send + Sync`: sweep threads fork from one shared image in parallel.
+/// An image is `Send + Sync`: sweep threads fork from one shared image in
+/// parallel.
 #[derive(Debug, Clone)]
 pub struct SsdImage {
     /// Fingerprint of the config facets that shaped the media contents.
@@ -248,7 +250,7 @@ impl Ssd {
         enc.tag(TAG_FTL);
         self.ftl.save_state(&mut enc);
         enc.tag(TAG_DRAM);
-        self.dram.borrow().save_state(&mut enc);
+        self.dram.lock().save_state(&mut enc);
         enc.tag(TAG_PCIE);
         self.pcie.save_state(&mut enc);
         enc.tag(TAG_XBAR);
@@ -298,7 +300,7 @@ impl Ssd {
         ssd.ftl.load_snapshot(&mut dec)?;
         dec.expect_tag(TAG_DRAM)?;
         let dram = Dram::restore_state(&mut dec)?;
-        *ssd.dram.borrow_mut() = dram;
+        *ssd.dram.lock() = dram;
         dec.expect_tag(TAG_PCIE)?;
         ssd.pcie = Bandwidth::restore_state(&mut dec)?;
         dec.expect_tag(TAG_XBAR)?;
@@ -333,7 +335,7 @@ impl Ssd {
     /// boundary between setup and a measured run.
     pub fn quiesce(&mut self) {
         self.flash.reset_time();
-        self.dram.borrow_mut().reset_time();
+        self.dram.lock().reset_time();
         self.pcie.reset_time();
         for p in &mut self.crossbar {
             p.reset_time();
@@ -354,7 +356,7 @@ impl Ssd {
         for &lpa in lpas {
             let (payload, arrival) = self.ftl_read_retrying(lpa, SimTime::ZERO)?;
             // Stage in DRAM, then DMA to the host.
-            let staged = self.dram.borrow_mut().post(arrival, page);
+            let staged = self.dram.lock().post(arrival, page);
             let sent = self.pcie.transfer(staged, page) + self.cfg.pcie_latency;
             done = done.max(sent);
             data.extend_from_slice(&payload);
@@ -623,8 +625,8 @@ impl Ssd {
             cores.push(core);
         }
 
-        let flash_out = match req.output {
-            OutputTarget::Host => None,
+        let sink = match req.output {
+            OutputTarget::Host => Sink::Host,
             OutputTarget::Flash { first_lpa } => {
                 // Disjoint per-engine LPA regions sized by the kernel's
                 // output bound.
@@ -639,7 +641,7 @@ impl Ssd {
                         "write-path output region exceeds exported capacity".into(),
                     ));
                 }
-                Some(FlashOut {
+                Sink::Flash(FlashOut {
                     next: (0..n_cores as u64)
                         .map(|i| first_lpa + i * cap_pages)
                         .collect(),
@@ -651,20 +653,26 @@ impl Ssd {
             }
         };
         let mut backend = Backend {
-            flash: &mut self.flash,
-            ftl: &mut self.ftl,
-            target: req.output,
-            flash_out,
-            dram: self.dram.clone(),
-            pcie: &mut self.pcie,
-            scheduled,
-            outputs: vec![Vec::new(); n_cores],
-            out_done: vec![SimTime::ZERO; n_cores],
-            pcie_latency: self.cfg.pcie_latency,
-            bank_bytes: core_cfg.staging_bytes,
-            granularity: req.kernel.granularity(),
-            bytes_streamed: 0,
-            per_core_streamed: vec![0; n_cores],
+            feeds: scheduled
+                .into_iter()
+                .map(|queues| CoreFeed {
+                    queues,
+                    streamed: 0,
+                    bank_bytes: core_cfg.staging_bytes,
+                    granularity: req.kernel.granularity(),
+                })
+                .collect(),
+            shared: SharedPlane {
+                flash: &mut self.flash,
+                ftl: &mut self.ftl,
+                sink,
+                dram: self.dram.clone(),
+                pcie: &mut self.pcie,
+                outputs: vec![Vec::new(); n_cores],
+                out_done: vec![SimTime::ZERO; n_cores],
+                pcie_latency: self.cfg.pcie_latency,
+                failure: None,
+            },
         };
 
         // ---- per-style setup -------------------------------------------
@@ -698,7 +706,6 @@ impl Ssd {
             core_cfg,
             style,
             output: req.output,
-            dram: self.dram.clone(),
             lane_ok: lane_cap() > 1 && lane_eligible(style, &program),
             lane_width_used: 1,
             backend,
@@ -830,7 +837,7 @@ fn stage_windows(
         core.set_reg(r_out, out_offset as u32);
     }
     // Drain plans into the windows, page by page, round-robin.
-    let dram_latency = backend.dram.borrow().latency();
+    let dram_latency = backend.shared.dram.lock().latency();
     let mut queues: Vec<(usize, usize, u64, StreamPlan)> = Vec::new();
     for (id, streams) in plans.iter_mut().enumerate() {
         let in_len: u64 = streams.first().map(|p| p.remaining_bytes()).unwrap_or(0);
@@ -851,15 +858,14 @@ fn stage_windows(
             progressed = true;
             let issue = SimTime::ZERO + firmware_poll;
             let (data, flash_arrival) = crate::backend::read_page_retrying(
-                backend.flash,
+                backend.shared.flash,
                 plan.addr,
                 issue,
                 media_retries,
                 media_backoff,
             )?;
             let payload = data.slice(plan.offset as usize..(plan.offset + plan.len) as usize);
-            backend.bytes_streamed += plan.len as u64;
-            backend.per_core_streamed[*id] += plan.len as u64;
+            backend.feeds[*id].streamed += plan.len as u64;
             let offset = *sid as u64 * *stride + cursors[qi];
             cursors[qi] += plan.len as u64;
             engine_window(cores[*id].window_mut(), *id, "mem staging")?.stage(
@@ -878,17 +884,6 @@ fn stage_windows(
 /// whole process; a long-lived server needs the request to fail instead.
 fn engine_window<W>(window: Option<W>, id: usize, what: &str) -> Result<W, SsdError> {
     window.ok_or_else(|| SsdError::Invariant(format!("{what}: engine {id} has no DRAM window")))
-}
-
-/// The write path's program-completion time for engine `id`, or a typed
-/// invariant error when the flash-output state (or this engine's slot in
-/// it) is absent — formerly `.expect("write-path state")`.
-fn write_path_prog_done(prog: Option<SimTime>, id: usize) -> Result<SimTime, SsdError> {
-    prog.ok_or_else(|| {
-        SsdError::Invariant(format!(
-            "write path: engine {id} has no flash-output program state"
-        ))
-    })
 }
 
 /// Formats the `SsdError::Stuck` diagnostic: per-core execution state plus
@@ -931,7 +926,6 @@ struct Session<'s> {
     core_cfg: CoreConfig,
     style: AccessStyle,
     output: OutputTarget,
-    dram: SharedDram,
     /// May this request bypass the epoch loop? See [`lane_eligible`].
     lane_ok: bool,
     /// Widest lane batch this session's cores ran in (1 = scalar).
@@ -942,63 +936,37 @@ struct Session<'s> {
 }
 
 impl Session<'_> {
-    /// The reference execution path: bounded-epoch co-simulation.
-    ///
-    /// Every backend interaction (refills, drains, bank assembly) is
-    /// demand-driven from inside core execution, so a round in which no
-    /// core retires an instruction has zero side effects. The
-    /// event-driven mode exploits that: when every running core's next
-    /// retirement lies beyond the next epoch boundary, the deadline
-    /// jumps straight to the boundary covering the earliest wake-up.
-    /// Deadlines stay on the `k * epoch` progression, so grant ordering
-    /// — and every report byte — matches the fixed-epoch reference.
+    /// The reference execution path: bounded-epoch co-simulation, each
+    /// round in two phases (see [`crate::round`]). Phase 1 gets a helper
+    /// thread when the process-wide thread budget has one to lease and
+    /// this thread's cap allows it; nested callers (array workers, sweep
+    /// points) find the budget spent and run serially.
     fn run_epochs(&mut self) -> Result<(), SsdError> {
-        let epoch = self.cfg.epoch;
-        let mut deadline = SimTime::ZERO + epoch;
-        let mut rounds: u64 = 0;
-        let mut epochs_skipped: u64 = 0;
-        loop {
-            let mut all_done = true;
-            let mut min_wake: Option<SimTime> = None;
-            for core in self.cores.iter_mut() {
-                if core.state() == &CoreState::Running {
-                    match core.run(&mut self.backend, deadline) {
-                        RunOutcome::Halted => {}
-                        RunOutcome::Wedged => match core.state() {
-                            CoreState::Wedged(m) => return Err(SsdError::CoreWedged(m.clone())),
-                            _ => unreachable!("Wedged outcome implies wedged state"),
-                        },
-                        RunOutcome::BlockedUntil(wake) => {
-                            all_done = false;
-                            min_wake = Some(min_wake.map_or(wake, |m| m.min(wake)));
-                        }
-                    }
-                }
+        let lease = assasin_parallel::claim_threads(
+            assasin_parallel::current_max_threads()
+                .saturating_sub(1)
+                .min(1),
+        );
+        self.run_rounds(lease.claimed() > 0)
+    }
+
+    /// [`Session::run_epochs`] with the helper thread decided by the
+    /// caller.
+    fn run_rounds(&mut self, threaded: bool) -> Result<(), SsdError> {
+        let ran = run_rounds(
+            &self.cfg,
+            &mut self.cores,
+            &mut self.backend.feeds,
+            &mut self.backend.shared,
+            threaded,
+        );
+        ran.map_err(|stop| match stop {
+            Stop::Wedged(m) => SsdError::CoreWedged(m),
+            Stop::Stuck { rounds, deadline } => {
+                SsdError::Stuck(stuck_report(rounds, deadline, &self.cores, &self.backend))
             }
-            if all_done {
-                record_cosim(rounds, epochs_skipped);
-                return Ok(());
-            }
-            rounds += 1;
-            if rounds > self.cfg.max_rounds {
-                record_cosim(rounds, epochs_skipped);
-                return Err(SsdError::Stuck(stuck_report(
-                    rounds,
-                    deadline,
-                    &self.cores,
-                    &self.backend,
-                )));
-            }
-            let next = deadline + epoch;
-            deadline = match (self.cfg.cosim, min_wake) {
-                (CosimMode::EventDriven, Some(wake)) if wake > next => {
-                    let jumped = wake.round_up_to(epoch);
-                    epochs_skipped += (jumped.as_ps() - next.as_ps()) / epoch.as_ps();
-                    jumped
-                }
-                _ => next,
-            };
-        }
+            Stop::Failed(e) => e,
+        })
     }
 
     /// Cycle budget equal to the epoch loop's round budget. The scalar loop
@@ -1030,6 +998,7 @@ impl Session<'_> {
     /// full cycle budget reports the scalar loop's stuck diagnostic.
     fn after_lane_run(&mut self) -> Result<(), SsdError> {
         record_lanes(self.lane_width_used);
+        self.backend.shared.take_failure()?;
         for core in &self.cores {
             if let CoreState::Wedged(m) = core.state() {
                 return Err(SsdError::CoreWedged(m.clone()));
@@ -1057,15 +1026,13 @@ impl Session<'_> {
             cfg,
             style,
             output,
-            dram,
             mut backend,
             mut cores,
             mem_out_offsets,
             ..
         } = self;
-        let n_cores = cores.len();
+        let shared = &mut backend.shared;
         let mut elapsed_end = SimTime::ZERO;
-        let mut reports = Vec::with_capacity(n_cores);
         for (id, core) in cores.iter_mut().enumerate() {
             let halt_time = core.local_time();
             match style {
@@ -1075,7 +1042,7 @@ impl Session<'_> {
                         .flush(0)
                         .map_err(|e| SsdError::CoreWedged(format!("flush: {e}")))?
                     {
-                        backend.drain_page(id, 0, tail, halt_time);
+                        shared.drain(id, &tail, halt_time);
                     }
                 }
                 AccessStyle::Mem => {
@@ -1102,16 +1069,15 @@ impl Session<'_> {
                         let data = window.bytes(mem_out_offsets[id], out_len as usize).to_vec();
                         match output {
                             OutputTarget::Host => {
-                                let staged = dram.borrow_mut().post(halt_time, out_len);
-                                let sent =
-                                    backend.pcie.transfer(staged, out_len) + cfg.pcie_latency;
-                                backend.outputs[id].extend_from_slice(&data);
-                                backend.out_done[id] = backend.out_done[id].max(sent);
+                                let staged = shared.dram.lock().post(halt_time, out_len);
+                                let sent = shared.pcie.transfer(staged, out_len) + cfg.pcie_latency;
+                                shared.outputs[id].extend_from_slice(&data);
+                                shared.out_done[id] = shared.out_done[id].max(sent);
                             }
                             OutputTarget::Flash { .. } => {
                                 // DRAM read of the results, then flash writes.
-                                dram.borrow_mut().post(halt_time, out_len);
-                                backend.drain(id, &data, halt_time);
+                                shared.dram.lock().post(halt_time, out_len);
+                                shared.drain(id, &data, halt_time);
                             }
                         }
                     }
@@ -1120,35 +1086,28 @@ impl Session<'_> {
             }
             // Write path: pad and flush the engine's trailing partial page;
             // the request completes when programs are durable.
-            if backend.flash_out.is_some() {
-                backend.flush_out_page(id, halt_time.max(backend.out_done[id]));
-                let prog = write_path_prog_done(
-                    backend
-                        .flash_out
-                        .as_ref()
-                        .and_then(|fo| fo.prog_done.get(id).copied()),
-                    id,
-                )?;
-                backend.out_done[id] = backend.out_done[id].max(prog);
+            if let Sink::Flash(fo) = &mut shared.sink {
+                let now = halt_time.max(shared.out_done[id]);
+                fo.flush(id, shared.ftl, shared.flash, now)?;
+                shared.out_done[id] = shared.out_done[id].max(fo.prog_done[id]);
             }
-            let end = halt_time.max(backend.out_done[id]);
-            elapsed_end = elapsed_end.max(end);
-            reports.push((id, halt_time));
+            shared.take_failure()?;
+            elapsed_end = elapsed_end.max(halt_time.max(shared.out_done[id]));
         }
         let elapsed = elapsed_end.since(SimTime::ZERO);
 
-        let per_core = reports
-            .into_iter()
-            .map(|(id, _halt)| {
-                let core = &cores[id];
+        let per_core = cores
+            .iter()
+            .zip(&backend.feeds)
+            .zip(&backend.shared.outputs)
+            .map(|((core, feed), output)| {
                 let busy_time = core.config().clock.cycles_to_dur(core.breakdown().busy);
                 CoreReport {
                     cycles: core.cycles(),
                     breakdown: core.breakdown().clone(),
                     mix: *core.mix(),
-                    bytes_in: backend.per_core_streamed[id],
-
-                    bytes_out: backend.outputs[id].len() as u64,
+                    bytes_in: feed.streamed,
+                    bytes_out: output.len() as u64,
                     utilization: if elapsed.is_zero() {
                         0.0
                     } else {
@@ -1158,22 +1117,22 @@ impl Session<'_> {
             })
             .collect::<Vec<_>>();
 
-        let bytes_in = backend.bytes_streamed;
-        let output_lpas = backend
-            .flash_out
-            .take()
-            .map(|fo| fo.lpas)
-            .unwrap_or_default();
-        let outputs = std::mem::take(&mut backend.outputs);
+        let bytes_in = backend.bytes_streamed();
+        let shared = backend.shared;
+        let output_lpas = match shared.sink {
+            Sink::Host => Vec::new(),
+            Sink::Flash(fo) => fo.lpas,
+        };
+        let outputs = shared.outputs;
         let bytes_out = outputs.iter().map(|o| o.len() as u64).sum();
         let channels = cfg.geometry.channels;
         let channel_bytes = (0..channels)
-            .map(|c| backend.flash.channel_stats(c).bytes_read)
+            .map(|c| shared.flash.channel_stats(c).bytes_read)
             .collect();
         let channel_busy = (0..channels)
-            .map(|c| backend.flash.channel_busy(c))
+            .map(|c| shared.flash.channel_busy(c))
             .collect();
-        let dram_traffic = dram.borrow().bytes_moved();
+        let dram_traffic = shared.dram.lock().bytes_moved();
 
         Ok(ScompResult {
             elapsed,
@@ -1402,13 +1361,39 @@ mod tests {
     }
 
     #[test]
-    fn missing_write_path_state_is_a_typed_error_not_a_panic() {
-        match write_path_prog_done(None, 1) {
-            Err(SsdError::Invariant(m)) => assert!(m.contains("engine 1"), "{m}"),
-            other => panic!("expected Invariant, got {other:?}"),
+    fn failed_write_path_program_is_a_typed_error_not_a_panic() {
+        // An output region running past the exported capacity used to hit
+        // `.expect("write-path region stays within exported capacity")`
+        // inside the drain; the failure is now held by the shared plane
+        // and returned after the round.
+        let mut ssd = make_ssd(EngineKind::AssasinSb);
+        let page = ssd.cfg.geometry.page_bytes;
+        let beyond = ssd.ftl.exported_pages();
+        let mut shared = SharedPlane {
+            flash: &mut ssd.flash,
+            ftl: &mut ssd.ftl,
+            sink: Sink::Flash(FlashOut {
+                next: vec![beyond],
+                lpas: vec![Vec::new()],
+                fill: vec![Vec::new()],
+                prog_done: vec![SimTime::ZERO],
+                page_bytes: page,
+            }),
+            dram: ssd.dram.clone(),
+            pcie: &mut ssd.pcie,
+            outputs: vec![Vec::new()],
+            out_done: vec![SimTime::ZERO],
+            pcie_latency: SimDur::ZERO,
+            failure: None,
+        };
+        shared.drain(0, &vec![7u8; page as usize + 1], SimTime::ZERO);
+        match shared.take_failure() {
+            Err(SsdError::Ftl(assasin_ftl::FtlError::OutOfCapacity(lpa))) => {
+                assert_eq!(lpa, Lpa(beyond))
+            }
+            other => panic!("expected an FTL capacity error, got {other:?}"),
         }
-        let t = SimTime::from_ns(5);
-        assert_eq!(write_path_prog_done(Some(t), 1), Ok(t));
+        assert_eq!(shared.take_failure(), Ok(()), "reported once");
     }
 
     #[test]
@@ -1599,6 +1584,55 @@ mod tests {
         assert!(matches!(ssd.scomp(&req), Err(SsdError::BadRequest(_))));
         let req = ScompRequest::new(scan_bundle(), vec![vec![]]);
         assert!(matches!(ssd.scomp(&req), Err(SsdError::BadRequest(_))));
+    }
+
+    /// `scomp` with the phase-1 helper thread forced on or off, whatever
+    /// the thread budget holds.
+    fn scomp_rounds(ssd: &mut Ssd, req: &ScompRequest, threaded: bool) -> String {
+        let run = ssd.scomp_session(req).and_then(|mut session| {
+            session.run_rounds(threaded)?;
+            session.finalize()
+        });
+        format!("{run:?}")
+    }
+
+    #[test]
+    fn threaded_rounds_match_serial_rounds() {
+        use assasin_kernels::replicate;
+        let data: Vec<u8> = (0..96 * 1024).map(|i| (i % 241) as u8).collect();
+        for engine in EngineKind::ALL {
+            if engine == EngineKind::Udp {
+                continue;
+            }
+            for flash_out in [false, true] {
+                let outcomes: Vec<(String, Vec<u8>)> = [false, true]
+                    .into_iter()
+                    .map(|threaded| {
+                        let mut ssd = make_ssd(engine);
+                        let lpas = ssd.load_object(0, &data).unwrap();
+                        let bundle = KernelBundle::new(
+                            "replicate",
+                            replicate::TUPLE_BYTES,
+                            replicate::COPIES as f64,
+                            replicate::program,
+                        );
+                        let mut req = ScompRequest::new(bundle, vec![lpas])
+                            .with_stream_bytes(vec![data.len() as u64]);
+                        if flash_out {
+                            req = req.with_flash_output(50_000);
+                        }
+                        let run = scomp_rounds(&mut ssd, &req, threaded);
+                        (run, ssd.save_state())
+                    })
+                    .collect();
+                assert!(outcomes[0].0.starts_with("Ok"), "{}", outcomes[0].0);
+                assert_eq!(outcomes[0].0, outcomes[1].0, "{engine:?} flash={flash_out}");
+                assert!(
+                    outcomes[0].1 == outcomes[1].1,
+                    "{engine:?} flash={flash_out}: device state diverged"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,16 @@ use assasin_kernels::{raid, replicate, scan, stat};
 use assasin_snap::SnapError;
 use assasin_ssd::{KernelBundle, ScompRequest, ScompResult, Ssd, SsdConfig, SsdError};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes this file's forking tests. `fork_counters` is process-wide,
+/// so a fork made by a concurrently running test lands between another
+/// test's before/after readings; holding this lock around every fork
+/// keeps the counts exact at any `--test-threads`.
+fn fork_lock() -> MutexGuard<'static, ()> {
+    static FORKS: Mutex<()> = Mutex::new(());
+    FORKS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Deterministic pseudo-random payload (no RNG: the proptest shim seeds
 /// per case, and the data just needs to vary with the parameters).
@@ -137,7 +147,10 @@ proptest! {
         let mut seed = Ssd::new(cfg);
         let req2 = load_and_request(&mut seed, kernel, len, salt);
         let image = seed.into_image();
-        let mut forked = image.fork(cfg);
+        let mut forked = {
+            let _forks = fork_lock();
+            image.fork(cfg)
+        };
         let got = outcome(forked.scomp(&req2));
         prop_assert_eq!(want, got, "fork diverged from fresh load");
     }
@@ -147,6 +160,7 @@ proptest! {
 /// on one fork must not leak into its sibling.
 #[test]
 fn forked_devices_do_not_share_writes() {
+    let _forks = fork_lock();
     let cfg = SsdConfig::small_for_tests(EngineKind::AssasinSb);
     let data = pattern(64 * 1024, 7);
     let mut seed = Ssd::new(cfg);
@@ -177,6 +191,7 @@ fn forked_devices_do_not_share_writes() {
 /// fork inherited by reference.
 #[test]
 fn fork_counters_record_shared_pages() {
+    let _forks = fork_lock();
     let cfg = SsdConfig::small_for_tests(EngineKind::AssasinSb);
     let data = pattern(32 * 1024, 3);
     let mut seed = Ssd::new(cfg);
