@@ -28,9 +28,12 @@ fn xor_into(acc: &mut [u8], src: &[u8]) {
     }
 }
 
+/// `acc ^= coeff · src`, one lookup per byte in the multiply-by-`coeff`
+/// table (the kernels' "GF table" state) instead of a bitwise multiply.
 fn mul_xor_into(acc: &mut [u8], coeff: u8, src: &[u8]) {
+    let by = gf256::mul_table(coeff);
     for (a, b) in acc.iter_mut().zip(src.iter()) {
-        *a ^= gf256::mul(coeff, *b);
+        *a ^= by[*b as usize];
     }
 }
 
@@ -97,9 +100,9 @@ pub fn recover_from_q(survivors: &[(usize, &[u8])], q: &[u8], lost: usize) -> Ve
     for &(i, s) in survivors {
         mul_xor_into(&mut num, gf256::gen_pow(i as u32), s);
     }
-    let inv = gf_inv(gf256::gen_pow(lost as u32));
+    let by_inv = gf256::mul_table(gf_inv(gf256::gen_pow(lost as u32)));
     for b in num.iter_mut() {
-        *b = gf256::mul(inv, *b);
+        *b = by_inv[*b as usize];
     }
     num
 }
@@ -134,11 +137,12 @@ pub fn recover_two(
     }
     let gx = gf256::gen_pow(x as u32);
     let gy = gf256::gen_pow(y as u32);
-    let inv = gf_inv(gx ^ gy);
+    let by_inv = gf256::mul_table(gf_inv(gx ^ gy));
+    let by_gy = gf256::mul_table(gy);
     let mut dx = vec![0u8; p.len()];
     let mut dy = vec![0u8; p.len()];
     for i in 0..p.len() {
-        let rx = gf256::mul(inv, q_syn[i] ^ gf256::mul(gy, p_syn[i]));
+        let rx = by_inv[(q_syn[i] ^ by_gy[p_syn[i] as usize]) as usize];
         dx[i] = rx;
         dy[i] = p_syn[i] ^ rx;
     }
@@ -195,6 +199,19 @@ mod tests {
             .unzip();
         assert_eq!(p, gp);
         assert_eq!(q, gq);
+    }
+
+    #[test]
+    fn mul_xor_into_matches_bitwise_mul_for_every_pair() {
+        let src: Vec<u8> = (0..=255u8).collect();
+        let base: Vec<u8> = (0..=255u8).map(|b| b.wrapping_mul(167) ^ 0x5a).collect();
+        for coeff in 0..=255u8 {
+            let mut acc = base.clone();
+            mul_xor_into(&mut acc, coeff, &src);
+            for (i, &b) in src.iter().enumerate() {
+                assert_eq!(acc[i], base[i] ^ gf256::mul(coeff, b), "{coeff} * {b}");
+            }
+        }
     }
 
     #[test]

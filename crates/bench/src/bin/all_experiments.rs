@@ -69,42 +69,48 @@ fn main() {
     let scale = Scale::from_env();
     let filters = filters();
     let t0 = Instant::now();
-    type Task = (&'static str, Box<dyn Fn() -> Vec<Report> + Send + Sync>);
+    type Task = (
+        &'static str,
+        Box<dyn Fn() -> Result<Vec<Report>, String> + Send + Sync>,
+    );
     // Canonical report order; each task may emit several reports.
     let tasks: Vec<Task> = vec![
         (
             "table02",
-            Box::new(move || vec![render("table02", &table02::run(&scale))]),
+            Box::new(move || Ok(vec![render("table02", &table02::run(&scale))])),
         ),
         (
             "table04",
-            Box::new(|| vec![render("table04", &table04::run())]),
+            Box::new(|| Ok(vec![render("table04", &table04::run())])),
         ),
         (
             "fig05",
-            Box::new(move || vec![render("fig05", &fig05::run(&scale))]),
+            Box::new(move || Ok(vec![render("fig05", &fig05::run(&scale))])),
         ),
         (
             "fig13",
-            Box::new(move || vec![render("fig13", &fig13::run(&scale))]),
+            Box::new(move || Ok(vec![render("fig13", &fig13::run(&scale))])),
         ),
         (
             "fig14",
-            Box::new(move || vec![render("fig14", &fig14::run(&scale))]),
+            Box::new(move || Ok(vec![render("fig14", &fig14::run(&scale))])),
         ),
         (
             "fig15",
-            Box::new(move || vec![render("fig15", &fig15::run(&scale))]),
+            Box::new(move || Ok(vec![render("fig15", &fig15::run(&scale))])),
         ),
         (
             "fig16",
-            Box::new(move || vec![render("fig16", &fig16::run(&scale))]),
+            Box::new(move || Ok(vec![render("fig16", &fig16::run(&scale))])),
         ),
         (
             "fig19",
-            Box::new(move || vec![render("fig19", &fig19::run(&scale))]),
+            Box::new(move || Ok(vec![render("fig19", &fig19::run(&scale))])),
         ),
-        ("fig20", Box::new(|| vec![render("fig20", &fig20::run())])),
+        (
+            "fig20",
+            Box::new(|| Ok(vec![render("fig20", &fig20::run())])),
+        ),
         (
             "fig21+fig22",
             Box::new(move || {
@@ -112,28 +118,31 @@ fn main() {
                 // rides in the same task as its fig21 dependency.
                 let f21 = fig21::run(&scale);
                 let f22 = fig22::run(&f21);
-                vec![render("fig21", &f21), render("fig22", &f22)]
+                Ok(vec![render("fig21", &f21), render("fig22", &f22)])
             }),
         ),
         (
             "table05",
-            Box::new(|| vec![render("table05", &table05::run())]),
+            Box::new(|| Ok(vec![render("table05", &table05::run())])),
         ),
         (
             "ablations",
-            Box::new(move || vec![render("ablations", &ablations::run(&scale))]),
+            Box::new(move || Ok(vec![render("ablations", &ablations::run(&scale))])),
         ),
         (
             "reliability",
-            Box::new(move || vec![render("reliability", &fig_reliability::run(&scale))]),
+            Box::new(move || Ok(vec![render("reliability", &fig_reliability::run(&scale))])),
         ),
         (
             "fig_array",
-            Box::new(move || vec![render("fig_array", &fig_array::run(&scale))]),
+            Box::new(move || Ok(vec![render("fig_array", &fig_array::run(&scale))])),
         ),
         (
             "fig_serving",
-            Box::new(move || vec![render("fig_serving", &fig_serving::run(&scale))]),
+            Box::new(move || {
+                let r = fig_serving::run(&scale).map_err(|e| format!("fig_serving: {e}"))?;
+                Ok(vec![render("fig_serving", &r)])
+            }),
         ),
     ];
     let tasks: Vec<Task> = tasks
@@ -150,6 +159,13 @@ fn main() {
         eprintln!("[{}] done in {:.1}s", name, started.elapsed().as_secs_f64());
         reports
     });
+    let produced: Vec<Vec<Report>> = produced
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
     for (name, text, json) in produced.into_iter().flatten() {
         println!("{text}");
         save(name, &text, &json);

@@ -5,5 +5,11 @@ use assasin_bench::experiments::fig_serving;
 use assasin_bench::Scale;
 
 fn main() {
-    println!("{}", fig_serving::run(&Scale::from_env()));
+    match fig_serving::run(&Scale::from_env()) {
+        Ok(report) => println!("{report}"),
+        Err(e) => {
+            eprintln!("fig_serving: {e}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -24,9 +24,9 @@
 //! byte-identical (the DESIGN.md §15 determinism contract), and records
 //! requested vs. granted workers, the wall-clock speedup, and the
 //! merge/root-stall/rebuild counters. A serving pass runs the
-//! multi-tenant front-end experiment once, snapshots the process-wide
-//! serving counters (submissions/admitted/rejected/completed plus
-//! memoization hits) around it, and records the per-tenant SLO rows —
+//! multi-tenant front-end experiment once, sums the serving totals
+//! (submissions/admitted/rejected/completed plus memoization hits) from
+//! the reports of its runs, and records the per-tenant SLO rows —
 //! completions, rejections, SLO violations, p50/p99 — of the most
 //! saturated load point (DESIGN.md §16). Rerun after harness or
 //! simulator changes.
@@ -40,7 +40,7 @@ use assasin_kernels::{scan, AccessStyle};
 use assasin_mem::{
     AccessKind, Dram, HierarchyConfig, MemHierarchy, ReadOutcome, StreamBuffer, StreamBufferConfig,
 };
-use assasin_serve::{serve_counters, TenantReport};
+use assasin_serve::{ServeError, ServeReport, TenantReport};
 use assasin_sim::{SimDur, SimTime};
 use bytes::Bytes;
 use serde::Serialize;
@@ -137,8 +137,8 @@ struct ArrayPass {
 }
 
 /// The multi-tenant serving pass: one full `fig_serving` run with the
-/// process-wide serving counters snapshotted around it, plus the
-/// per-tenant SLO rows of the most saturated load point (DESIGN.md §16).
+/// totals of its serving reports summed, plus the per-tenant SLO rows of
+/// the most saturated load point (DESIGN.md §16).
 #[derive(Debug, Serialize)]
 struct ServingPass {
     /// Wall-clock seconds for the run.
@@ -268,7 +268,7 @@ fn sample(name: &'static str, wall_secs: f64, gbps: f64, c: RunCounters) -> Expe
     }
 }
 
-fn run_suite(scale: &Scale) -> Vec<ExperimentSample> {
+fn run_suite(scale: &Scale) -> Result<Vec<ExperimentSample>, ServeError> {
     let mut samples = Vec::new();
     let t = Instant::now();
     let (f13, c) = with_counters(|| fig13::run_with(scale, false));
@@ -309,6 +309,7 @@ fn run_suite(scale: &Scale) -> Vec<ExperimentSample> {
     ));
     let t = Instant::now();
     let (srv, c) = with_counters(|| fig_serving::run(scale));
+    let srv = srv?;
     samples.push(sample(
         "fig_serving",
         t.elapsed().as_secs_f64(),
@@ -319,7 +320,7 @@ fn run_suite(scale: &Scale) -> Vec<ExperimentSample> {
         }),
         c,
     ));
-    samples
+    Ok(samples)
 }
 
 /// Repetitions per component loop; the fastest rep is reported, which
@@ -537,30 +538,33 @@ fn run_array_pass(scale: &Scale) -> ArrayPass {
     }
 }
 
-/// Runs the serving experiment once with the process-wide serving
-/// counters snapshotted around it and keeps the per-tenant SLO rows of
-/// the heaviest load point.
-fn run_serving_pass(scale: &Scale) -> ServingPass {
-    let c0 = serve_counters();
+/// Runs the serving experiment once, sums the totals of every serving
+/// run's report, and keeps the per-tenant SLO rows of the heaviest load
+/// point.
+fn run_serving_pass(scale: &Scale) -> Result<ServingPass, ServeError> {
     let t = Instant::now();
-    let r = fig_serving::run(scale);
+    let (r, runs) = fig_serving::run_with_reports(scale)?;
     let wall_secs = t.elapsed().as_secs_f64();
-    let c1 = serve_counters();
+    let sum = |f: fn(&ServeReport) -> u64| runs.iter().map(f).sum::<u64>();
+    let per_tenant =
+        |f: fn(&TenantReport) -> u64| runs.iter().flat_map(|r| &r.tenants).map(f).sum::<u64>();
+    let completed = sum(|r| r.total_completed);
+    let executions = sum(|r| r.executions);
     let saturated = r.load_curve.last().expect("load curve is non-empty");
-    ServingPass {
+    Ok(ServingPass {
         wall_secs,
-        submissions: c1.0 - c0.0,
-        admitted: c1.1 - c0.1,
-        rejected: c1.2 - c0.2,
-        completed: c1.3 - c0.3,
-        executions: c1.4 - c0.4,
-        memo_hits: c1.5 - c0.5,
+        submissions: per_tenant(|t| t.submitted),
+        admitted: per_tenant(|t| t.admitted),
+        rejected: sum(|r| r.total_rejected),
+        completed,
+        executions,
+        memo_hits: completed - executions,
         saturated_offered_x: saturated.offered_x,
         tenants: saturated.tenants.clone(),
-    }
+    })
 }
 
-fn main() {
+fn main() -> Result<(), ServeError> {
     let scale = Scale::test_scale();
     let parallel_threads = assasin_parallel::current_max_threads();
 
@@ -573,7 +577,7 @@ fn main() {
     let mut serial_total_secs = f64::INFINITY;
     for _ in 0..SERIAL_REPS {
         let t = Instant::now();
-        let rep = assasin_parallel::with_max_threads(1, || run_suite(&scale));
+        let rep = assasin_parallel::with_max_threads(1, || run_suite(&scale))?;
         serial_total_secs = serial_total_secs.min(t.elapsed().as_secs_f64());
         if serial.is_empty() {
             serial = rep;
@@ -585,19 +589,19 @@ fn main() {
     }
 
     let t = Instant::now();
-    let parallel = assasin_parallel::with_max_threads(parallel_threads, || run_suite(&scale));
+    let parallel = assasin_parallel::with_max_threads(parallel_threads, || run_suite(&scale))?;
     let parallel_total_secs = t.elapsed().as_secs_f64();
 
     // Lane pass: same serial suite on the 8-wide lockstep executor.
     assasin_ssd::set_lane_cap(8);
     let t = Instant::now();
-    let lanes = assasin_parallel::with_max_threads(1, || run_suite(&scale));
+    let lanes = assasin_parallel::with_max_threads(1, || run_suite(&scale))?;
     let lanes_total_secs = t.elapsed().as_secs_f64();
     assasin_ssd::set_lane_cap(1);
 
     let components = run_components();
     let array = run_array_pass(&scale);
-    let serving = run_serving_pass(&scale);
+    let serving = run_serving_pass(&scale)?;
 
     let report = PerfSmokeReport {
         scale: "test",
@@ -684,4 +688,5 @@ fn main() {
             t.p99_us.map_or("n/a".to_string(), |v| format!("{v:.1} us")),
         );
     }
+    Ok(())
 }

@@ -26,7 +26,8 @@
 //! 2), `ASSASIN_SERVE_DEPTH` (per-tenant queue depth, default 16),
 //! `ASSASIN_SERVE_SEED` (load-generator seed, default the scale's), and
 //! `ASSASIN_SERVE_ARRIVAL` (`open`/`closed` load-curve arrivals, default
-//! `open`). Malformed values are hard errors, not silent defaults.
+//! `open`). Malformed values are typed errors that [`run`] returns, not
+//! silent defaults.
 
 use crate::bundles;
 use crate::report;
@@ -34,7 +35,8 @@ use crate::Scale;
 use assasin_core::EngineKind;
 use assasin_serve::{
     arrival_from_env, depth_from_env, seed_from_env, serve, tenants_from_env, ArrivalKind,
-    ArrivalModel, Instance, ServeConfig, ServeReport, SsdInstance, TenantReport, TenantSpec,
+    ArrivalModel, Instance, ServeConfig, ServeError, ServeReport, SsdInstance, TenantReport,
+    TenantSpec,
 };
 use assasin_sim::SimDur;
 use assasin_ssd::{ScompRequest, Ssd, SsdConfig};
@@ -103,14 +105,11 @@ fn pattern(n: usize, seed: u64) -> Vec<u8> {
 }
 
 /// One device, loaded once, serving a scan and a stat workload.
-fn build_instance(scale: &Scale) -> SsdInstance {
+fn build_instance(scale: &Scale) -> Result<SsdInstance, ServeError> {
     let mut inst = SsdInstance::new(Ssd::new(SsdConfig::engine_config(EngineKind::AssasinSb)));
     let data = pattern(scale.standalone_bytes, scale.seed);
     let bytes = data.len() as u64;
-    let lpas = inst
-        .ssd_mut()
-        .load_object(0, &data)
-        .unwrap_or_else(|e| panic!("serving: load object: {e}"));
+    let lpas = inst.ssd_mut().load_object(0, &data)?;
     let scan_lpas = lpas.clone();
     inst.register("scan", move || {
         ScompRequest::new(bundles::scan_bundle(), vec![scan_lpas.clone()])
@@ -119,7 +118,7 @@ fn build_instance(scale: &Scale) -> SsdInstance {
     inst.register("stat", move || {
         ScompRequest::new(bundles::stat_bundle(), vec![lpas.clone()]).with_stream_bytes(vec![bytes])
     });
-    inst
+    Ok(inst)
 }
 
 /// Load-curve arrival model at one offered multiplier: open loop fixes
@@ -142,25 +141,39 @@ fn arrival_at(mult: f64, tenants: usize, base: SimDur, kind: ArrivalKind) -> Arr
     }
 }
 
-fn run_serving(instance: &mut SsdInstance, cfg: &ServeConfig) -> ServeReport {
-    serve(instance, cfg).unwrap_or_else(|e| panic!("serving run: {e}"))
+/// Runs the serving experiment.
+///
+/// # Errors
+///
+/// A malformed `ASSASIN_SERVE_*` knob, or a device failure.
+pub fn run(scale: &Scale) -> Result<ServingReport, ServeError> {
+    run_with_reports(scale).map(|(report, _)| report)
 }
 
-/// Runs the serving experiment.
-pub fn run(scale: &Scale) -> ServingReport {
-    let tenants = tenants_from_env().unwrap_or(2);
-    let queue_depth = depth_from_env().unwrap_or(16);
-    let seed = seed_from_env().unwrap_or(scale.seed);
-    let arrival = arrival_from_env().unwrap_or(ArrivalKind::Open);
+/// Runs the serving experiment and also returns the [`ServeReport`] of
+/// every serving run in it, in run order (their totals are the
+/// experiment's submission, rejection and execution counts).
+///
+/// # Errors
+///
+/// See [`run`].
+pub fn run_with_reports(scale: &Scale) -> Result<(ServingReport, Vec<ServeReport>), ServeError> {
+    let tenants = tenants_from_env()?.unwrap_or(2);
+    let queue_depth = depth_from_env()?.unwrap_or(16);
+    let seed = seed_from_env()?.unwrap_or(scale.seed);
+    let arrival = arrival_from_env()?.unwrap_or(ArrivalKind::Open);
 
-    let mut instance = build_instance(scale);
+    let mut instance = build_instance(scale)?;
     // Capacity calibration: one genuine execution of the scan workload
     // (the device quiesces per request, so this is side-effect-free).
-    let base = instance
-        .execute(0)
-        .unwrap_or_else(|e| panic!("serving: calibration: {e}"))
-        .elapsed;
+    let base = instance.execute(0)?.elapsed;
     let slo = base * 5;
+    let mut runs = Vec::new();
+    let mut run_serving = |cfg: &ServeConfig| -> Result<ServeReport, ServeError> {
+        let r = serve(&mut instance, cfg)?;
+        runs.push(r.clone());
+        Ok(r)
+    };
 
     // Scenario 1: the load curve.
     let load_curve = LOAD_MULTIPLIERS
@@ -184,16 +197,16 @@ pub fn run(scale: &Scale) -> ServingReport {
                     .with_slo(slo)
                 })
                 .collect();
-            let r = run_serving(&mut instance, &ServeConfig::new(seed, specs));
-            LoadPoint {
+            let r = run_serving(&ServeConfig::new(seed, specs))?;
+            Ok(LoadPoint {
                 offered_x: mult,
                 mean_gap_us: base.as_ps() as f64 * tenants as f64 / mult * 1e-6,
                 utilization: r.utilization,
                 makespan_us: r.makespan_us,
                 tenants: r.tenants,
-            }
+            })
         })
-        .collect();
+        .collect::<Result<_, ServeError>>()?;
 
     // Scenario 2: fairness under a hog. Same offered load both times;
     // only the weights change. The victims offer 0.4x capacity each —
@@ -227,15 +240,15 @@ pub fn run(scale: &Scale) -> ServingReport {
                 .with_slo(slo)
             };
             let cfg = ServeConfig::new(seed, vec![hog, victim("victim0"), victim("victim1")]);
-            let mut r = run_serving(&mut instance, &cfg);
+            let mut r = run_serving(&cfg)?;
             let victims = r.tenants.split_off(1);
-            FairnessRow {
+            Ok(FairnessRow {
                 scheme: scheme.to_string(),
                 hog: r.tenants.pop().expect("hog row"),
                 victims,
-            }
+            })
         })
-        .collect();
+        .collect::<Result<_, ServeError>>()?;
 
     // Scenario 3: the closed loop.
     let closed_cfg = ServeConfig::new(
@@ -252,9 +265,9 @@ pub fn run(scale: &Scale) -> ServingReport {
         .with_mix(vec![(0, 1), (1, 1)])
         .with_slo(slo)],
     );
-    let closed_loop = run_serving(&mut instance, &closed_cfg);
+    let closed_loop = run_serving(&closed_cfg)?;
 
-    ServingReport {
+    let report = ServingReport {
         seed,
         tenants,
         queue_depth,
@@ -266,7 +279,8 @@ pub fn run(scale: &Scale) -> ServingReport {
         load_curve,
         fairness,
         closed_loop,
-    }
+    };
+    Ok((report, runs))
 }
 
 fn opt_us(v: Option<f64>) -> String {
@@ -355,7 +369,7 @@ mod tests {
 
     #[test]
     fn load_curve_fairness_and_closed_loop_move_the_right_way() {
-        let r = run(&Scale::test_scale());
+        let r = run(&Scale::test_scale()).unwrap();
         assert!(r.base_service_us > 0.0);
         assert_eq!(r.load_curve.len(), LOAD_MULTIPLIERS.len());
 
@@ -406,8 +420,8 @@ mod tests {
 
     #[test]
     fn same_seed_is_byte_identical() {
-        let a = serde_json::to_string(&run(&Scale::test_scale())).unwrap();
-        let b = serde_json::to_string(&run(&Scale::test_scale())).unwrap();
+        let a = serde_json::to_string(&run(&Scale::test_scale()).unwrap()).unwrap();
+        let b = serde_json::to_string(&run(&Scale::test_scale()).unwrap()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! The knobs follow the `parse_thread_env` pattern from
 //! `crates/parallel`: each parser is a pure, unit-testable function, and
-//! a *set but malformed* variable is a hard error — a CI job that typos
+//! a *set but malformed* variable is a typed error
+//! ([`ServeError::BadConfig`]) that callers propagate — a CI job that typos
 //! `ASSASIN_SERVE_TENANTS="four"` must not quietly serve whatever
 //! default the box happens to have.
 
@@ -178,7 +179,7 @@ pub enum ArrivalKind {
 /// # Errors
 ///
 /// Anything else — empty, zero, out of range, non-numeric — returns a
-/// description; the env reader turns it into a hard panic.
+/// description; the env reader turns it into [`ServeError::BadConfig`].
 pub fn parse_tenants(value: &str) -> Result<usize, String> {
     parse_ranged(value, 1, 64, "tenant count")
 }
@@ -234,36 +235,40 @@ fn parse_ranged(value: &str, lo: usize, hi: usize, what: &str) -> Result<usize, 
     }
 }
 
-/// Reads one `ASSASIN_SERVE_*` knob, returning `None` when unset and
-/// panicking on a set-but-malformed value.
-fn env_knob<T>(name: &str, parse: impl Fn(&str) -> Result<T, String>) -> Option<T> {
+/// Reads one `ASSASIN_SERVE_*` knob: `None` when unset, a typed error
+/// when set but malformed.
+fn env_knob<T>(
+    name: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<T>, ServeError> {
     match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => None,
-        Err(e) => panic!("{name} is not valid unicode: {e}"),
-        Ok(v) => match parse(&v) {
-            Ok(t) => Some(t),
-            Err(why) => panic!("invalid {name} {v:?}: {why}"),
-        },
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(e) => Err(ServeError::BadConfig(format!(
+            "{name} is not valid unicode: {e}"
+        ))),
+        Ok(v) => parse(&v)
+            .map(Some)
+            .map_err(|why| ServeError::BadConfig(format!("invalid {name} {v:?}: {why}"))),
     }
 }
 
-/// `ASSASIN_SERVE_TENANTS`, if set (malformed values panic).
-pub fn tenants_from_env() -> Option<usize> {
+/// `ASSASIN_SERVE_TENANTS`, if set ([`ServeError::BadConfig`] if malformed).
+pub fn tenants_from_env() -> Result<Option<usize>, ServeError> {
     env_knob("ASSASIN_SERVE_TENANTS", parse_tenants)
 }
 
-/// `ASSASIN_SERVE_DEPTH`, if set (malformed values panic).
-pub fn depth_from_env() -> Option<usize> {
+/// `ASSASIN_SERVE_DEPTH`, if set ([`ServeError::BadConfig`] if malformed).
+pub fn depth_from_env() -> Result<Option<usize>, ServeError> {
     env_knob("ASSASIN_SERVE_DEPTH", parse_depth)
 }
 
-/// `ASSASIN_SERVE_SEED`, if set (malformed values panic).
-pub fn seed_from_env() -> Option<u64> {
+/// `ASSASIN_SERVE_SEED`, if set ([`ServeError::BadConfig`] if malformed).
+pub fn seed_from_env() -> Result<Option<u64>, ServeError> {
     env_knob("ASSASIN_SERVE_SEED", parse_seed)
 }
 
-/// `ASSASIN_SERVE_ARRIVAL`, if set (malformed values panic).
-pub fn arrival_from_env() -> Option<ArrivalKind> {
+/// `ASSASIN_SERVE_ARRIVAL`, if set ([`ServeError::BadConfig`] if malformed).
+pub fn arrival_from_env() -> Result<Option<ArrivalKind>, ServeError> {
     env_knob("ASSASIN_SERVE_ARRIVAL", parse_arrival)
 }
 
@@ -331,5 +336,50 @@ mod tests {
             empty_mix.validate(),
             Err(ServeError::BadConfig(m)) if m.contains("mix")
         ));
+    }
+
+    #[test]
+    fn env_knobs_are_typed_errors_not_panics() {
+        // The only test in this crate that touches these variables, so
+        // setting them cannot race another test's read.
+        type Read = fn() -> Result<bool, ServeError>;
+        let knobs: [(&str, Read); 4] = [
+            ("ASSASIN_SERVE_TENANTS", || {
+                tenants_from_env().map(|v| v.is_some())
+            }),
+            ("ASSASIN_SERVE_DEPTH", || {
+                depth_from_env().map(|v| v.is_some())
+            }),
+            ("ASSASIN_SERVE_SEED", || {
+                seed_from_env().map(|v| v.is_some())
+            }),
+            ("ASSASIN_SERVE_ARRIVAL", || {
+                arrival_from_env().map(|v| v.is_some())
+            }),
+        ];
+        for (name, read) in knobs {
+            std::env::remove_var(name);
+            assert!(matches!(read(), Ok(false)), "{name} unset");
+            for bad in ["", " ", "many", "-3"] {
+                std::env::set_var(name, bad);
+                match read() {
+                    Err(ServeError::BadConfig(m)) => assert!(m.contains(name), "{m}"),
+                    other => panic!("{name}={bad:?} gave {other:?}"),
+                }
+            }
+            #[cfg(unix)]
+            {
+                use std::os::unix::ffi::OsStrExt;
+                std::env::set_var(name, std::ffi::OsStr::from_bytes(b"4\xff"));
+                match read() {
+                    Err(ServeError::BadConfig(m)) => assert!(m.contains("unicode"), "{m}"),
+                    other => panic!("{name} non-unicode gave {other:?}"),
+                }
+            }
+            std::env::remove_var(name);
+        }
+        std::env::set_var("ASSASIN_SERVE_DEPTH", "32");
+        assert!(matches!(depth_from_env(), Ok(Some(32))));
+        std::env::remove_var("ASSASIN_SERVE_DEPTH");
     }
 }

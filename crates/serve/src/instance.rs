@@ -7,13 +7,16 @@
 //! over both backends.
 //!
 //! Every execution quiesces the device to t = 0 (that is `Ssd::scomp`'s
-//! own contract), so a workload's [`ServiceProfile`] is a pure function
-//! of the workload — which is what makes the server's memoization sound.
+//! own contract), so a read-only workload's [`ServiceProfile`] is a pure
+//! function of the workload — which is what makes the server's
+//! memoization sound. A workload that writes its output to flash changes
+//! the FTL state later executions see, so [`Instance::memoizable`] says
+//! no for it and the server executes it every time.
 
 use crate::error::ServeError;
 use assasin_array::SsdArray;
 use assasin_sim::SimDur;
-use assasin_ssd::{KernelBundle, ScompRequest, Ssd};
+use assasin_ssd::{KernelBundle, OutputTarget, ScompRequest, Ssd};
 
 /// What one execution of a workload cost, in simulated terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +49,12 @@ pub trait Instance {
     /// [`ServeError::UnknownWorkload`] for an out-of-range id, or the
     /// backing device's typed failure.
     fn execute(&mut self, workload: usize) -> Result<ServiceProfile, ServeError>;
+
+    /// Whether `workload`'s profile may be replayed instead of executed:
+    /// true when an execution leaves the device as it found it.
+    fn memoizable(&self, _workload: usize) -> bool {
+        true
+    }
 }
 
 type RequestBuilder = Box<dyn Fn() -> ScompRequest>;
@@ -106,6 +115,13 @@ impl Instance for SsdInstance {
             bytes_in: r.bytes_in,
             bytes_out: r.bytes_out,
         })
+    }
+
+    /// Host-bound workloads only: a flash-output request programs pages.
+    fn memoizable(&self, workload: usize) -> bool {
+        self.workloads
+            .get(workload)
+            .is_some_and(|(_, build)| build().output == OutputTarget::Host)
     }
 }
 
@@ -173,8 +189,11 @@ impl Instance for ArrayInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ArrivalModel, ServeConfig, TenantSpec};
+    use crate::server::serve;
     use assasin_core::EngineKind;
-    use assasin_kernels::scan;
+    use assasin_kernels::{replicate, scan};
+    use assasin_sim::SimDur;
     use assasin_ssd::SsdConfig;
 
     #[test]
@@ -204,5 +223,101 @@ mod tests {
             }) => {}
             other => panic!("expected UnknownWorkload, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn write_path_workloads_are_never_memoized() {
+        let mut inst =
+            SsdInstance::new(Ssd::new(SsdConfig::small_for_tests(EngineKind::AssasinSb)));
+        let data: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 251) as u8).collect();
+        let lpas = inst.ssd_mut().load_object(0, &data).unwrap();
+        let bytes = data.len() as u64;
+        let replicate = inst.register("replicate", move || {
+            let bundle = KernelBundle::new(
+                "replicate",
+                replicate::TUPLE_BYTES,
+                replicate::COPIES as f64,
+                replicate::program,
+            );
+            ScompRequest::new(bundle, vec![lpas.clone()])
+                .with_stream_bytes(vec![bytes])
+                .with_flash_output(50_000)
+        });
+        assert!(!inst.memoizable(replicate));
+        assert!(!inst.memoizable(replicate + 1), "unknown ids are not pure");
+
+        let open = ArrivalModel::Open {
+            mean_gap: SimDur::from_us(20),
+            requests: 6,
+        };
+        let cfg = ServeConfig::new(
+            4,
+            vec![TenantSpec::new("a", 8, open), TenantSpec::new("b", 8, open)],
+        );
+        assert!(cfg.memoize);
+        let report = serve(&mut inst, &cfg).unwrap();
+        assert_eq!(report.total_completed, 12);
+        assert_eq!(report.executions, report.total_completed);
+    }
+
+    /// A scan and a replicate on one nearly full device: every replicate
+    /// remaps the pages the scan reads and garbage-collects, so a scan
+    /// profile cached before it would be stale. With memoization on, the
+    /// report is still the one every-request execution gives.
+    #[test]
+    fn a_write_path_workload_invalidates_cached_read_profiles() {
+        let instance = || {
+            let mut cfg = SsdConfig::small_for_tests(EngineKind::AssasinSb);
+            cfg.geometry.blocks_per_plane = 8;
+            cfg.geometry.pages_per_block = 16;
+            let mut inst = SsdInstance::new(Ssd::new(cfg));
+            let data: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 239) as u8).collect();
+            let ssd = inst.ssd_mut();
+            let lpas = ssd.load_object(0, &data).unwrap();
+            // 3136 exported pages: fill most of them so overwrites soon
+            // need GC.
+            ssd.load_object(100, &vec![7u8; 2750 * 4096]).unwrap();
+            let bytes = data.len() as u64;
+            // The scan reads the first engine's replicate output.
+            let scan_lpas = ssd.load_object(2900, &data[..48 * 4096]).unwrap();
+            let scan_bytes = 48 * 4096u64;
+            inst.register("scan", move || {
+                let bundle = KernelBundle::new("scan", scan::TUPLE_BYTES, 0.0, scan::program);
+                ScompRequest::new(bundle, vec![scan_lpas.clone()])
+                    .with_stream_bytes(vec![scan_bytes])
+            });
+            inst.register("replicate", move || {
+                let bundle = KernelBundle::new(
+                    "replicate",
+                    replicate::TUPLE_BYTES,
+                    replicate::COPIES as f64,
+                    replicate::program,
+                );
+                ScompRequest::new(bundle, vec![lpas.clone()])
+                    .with_stream_bytes(vec![bytes])
+                    .with_flash_output(2900)
+            });
+            inst
+        };
+        let open = ArrivalModel::Open {
+            mean_gap: SimDur::from_us(50),
+            requests: 18,
+        };
+        let mut cfg = ServeConfig::new(
+            9,
+            vec![TenantSpec::new("mixed", 64, open).with_mix(vec![(0, 2), (1, 1)])],
+        );
+        let (mut on_inst, mut off_inst) = (instance(), instance());
+        let on = serve(&mut on_inst, &cfg).unwrap();
+        cfg.memoize = false;
+        let mut off = serve(&mut off_inst, &cfg).unwrap();
+        assert!(on_inst.ssd_mut().ftl_stats().erases > 0, "GC must have run");
+        assert_eq!(off.executions, off.total_completed);
+        assert!(on.executions < off.executions, "some scans were replayed");
+        off.executions = on.executions;
+        assert_eq!(
+            serde_json::to_string(&on).unwrap(),
+            serde_json::to_string(&off).unwrap()
+        );
     }
 }

@@ -25,11 +25,10 @@
 //!
 //! Runtime knobs (`ASSASIN_SERVE_TENANTS`, `ASSASIN_SERVE_DEPTH`,
 //! `ASSASIN_SERVE_SEED`, `ASSASIN_SERVE_ARRIVAL`) follow the repo's
-//! hard-error pattern: unset means default, set-but-malformed panics
-//! ([`config`]).
+//! hard-error pattern: unset means default, set-but-malformed is a
+//! typed [`ServeError::BadConfig`] ([`config`]).
 
 pub mod config;
-pub mod counters;
 pub mod error;
 pub mod instance;
 pub mod loadgen;
@@ -42,7 +41,6 @@ pub use config::{
     arrival_from_env, depth_from_env, seed_from_env, tenants_from_env, ArrivalKind, ArrivalModel,
     ServeConfig, TenantSpec,
 };
-pub use counters::serve_counters;
 pub use error::ServeError;
 pub use instance::{ArrayInstance, Instance, ServiceProfile, SsdInstance};
 pub use loadgen::{SplitMix64, TenantLoad};

@@ -68,7 +68,8 @@ enum LoadKind {
 pub struct TenantLoad {
     tenant: usize,
     rng: SplitMix64,
-    mix: Vec<(usize, u32)>,
+    /// `(workload, running total of pick weights up to and including it)`.
+    mix: Vec<(usize, u64)>,
     mix_total: u64,
     kind: LoadKind,
 }
@@ -78,8 +79,13 @@ impl TenantLoad {
     /// seed.
     pub fn new(run_seed: u64, tenant: usize, spec: &TenantSpec) -> Self {
         let mut rng = SplitMix64::new(tenant_seed(run_seed, tenant));
-        let mix = spec.mix.clone();
-        let mix_total = mix.iter().map(|(_, w)| *w as u64).sum();
+        let mut mix_total = 0;
+        let mix = (spec.mix.iter())
+            .map(|&(workload, weight)| {
+                mix_total += weight as u64;
+                (workload, mix_total)
+            })
+            .collect();
         let kind = match spec.arrival {
             ArrivalModel::Open { mean_gap, requests } => {
                 let next = SimTime::ZERO + jittered_gap(&mut rng, mean_gap);
@@ -172,16 +178,11 @@ impl TenantLoad {
         }
     }
 
+    /// The first mix entry whose running total exceeds the draw — the
+    /// entries are counted without branching on the draw.
     fn draw_workload(&mut self) -> usize {
-        let mut pick = self.rng.next_u64() % self.mix_total;
-        for (workload, weight) in &self.mix {
-            let weight = *weight as u64;
-            if pick < weight {
-                return *workload;
-            }
-            pick -= weight;
-        }
-        unreachable!("mix weights sum to mix_total")
+        let pick = self.rng.next_u64() % self.mix_total;
+        self.mix[self.mix.iter().filter(|&&(_, upto)| upto <= pick).count()].0
     }
 }
 
@@ -203,6 +204,7 @@ fn jittered_start(rng: &mut SplitMix64, think: SimDur) -> SimDur {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn open_spec(mean_us: u64, requests: u32) -> TenantSpec {
         TenantSpec::new(
@@ -275,6 +277,37 @@ mod tests {
         // Both clients exhausted: no resubmission even after a response.
         load.on_response(0, SimTime::from_us(999));
         assert_eq!(load.peek(), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+        #[test]
+        fn counted_mix_draws_match_the_subtractive_scan(
+            (seed, mix) in (any::<u64>(), proptest::collection::vec((0usize..8, 0u32..=5), 1..8)),
+        ) {
+            let mut mix = mix;
+            mix[0].1 += 1;
+            let total: u64 = mix.iter().map(|(_, w)| *w as u64).sum();
+            let mean = SimDur::from_us(3);
+            let mut load = TenantLoad::new(seed, 0, &open_spec(3, 300).with_mix(mix.clone()));
+            // The previous draw: subtract pick weights until one covers it.
+            let mut rng = SplitMix64::new(tenant_seed(seed, 0));
+            let mut next = SimTime::ZERO + jittered_gap(&mut rng, mean);
+            while let Some(sub) = load.pop() {
+                let at = next;
+                next = at + jittered_gap(&mut rng, mean);
+                let mut pick = rng.next_u64() % total;
+                let mut want = None;
+                for &(workload, weight) in &mix {
+                    if pick < weight as u64 {
+                        want = Some(workload);
+                        break;
+                    }
+                    pick -= weight as u64;
+                }
+                prop_assert_eq!((sub.arrival, Some(sub.workload)), (at, want));
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Latency is `completion - arrival` on the front-end's virtual clock;
 //! no wall-clock reading ever enters a report, so the same run always
 //! serializes to the same bytes. Percentiles are nearest-rank over the
-//! sorted latency vector (`idx = (n-1)*p/100`, integer arithmetic), and
+//! latency vector in sorted order (`idx = (n-1)*p/100`, integer
+//! arithmetic), found by selection rather than a full sort, and
 //! undefined statistics are `Option`s that serialize as `null` — never a
 //! NaN (which would not even be valid JSON) and never a fake zero.
 
@@ -55,7 +56,7 @@ impl TenantMetrics {
     /// Freezes the accumulator into a report row. `makespan` is the
     /// run's total simulated span (for achieved throughput).
     pub fn finish(mut self, spec: &TenantSpec, makespan: SimDur) -> TenantReport {
-        self.latencies_ps.sort_unstable();
+        let [p50_us, p99_us, max_us] = percentiles_us(&mut self.latencies_ps);
         TenantReport {
             name: spec.name.clone(),
             weight: spec.weight,
@@ -65,9 +66,9 @@ impl TenantMetrics {
             rejected: self.rejected,
             completed: self.completed,
             slo_violations: self.slo_violations,
-            p50_us: percentile_us(&self.latencies_ps, 50),
-            p99_us: percentile_us(&self.latencies_ps, 99),
-            max_us: self.latencies_ps.last().map(|&ps| ps_to_us(ps)),
+            p50_us,
+            p99_us,
+            max_us,
             bytes_in: self.bytes_in,
             bytes_out: self.bytes_out,
             // The `Option` from `throughput_bps` flows straight into the
@@ -134,13 +135,22 @@ pub struct ServeReport {
     pub tenants: Vec<TenantReport>,
 }
 
-/// Nearest-rank percentile of a sorted latency vector, in microseconds.
-fn percentile_us(sorted_ps: &[u64], p: u64) -> Option<f64> {
-    if sorted_ps.is_empty() {
-        return None;
-    }
-    let idx = (sorted_ps.len() as u64 - 1) * p / 100;
-    Some(ps_to_us(sorted_ps[idx as usize]))
+/// Nearest-rank p50, p99 and max of `ps`, in microseconds. Each is the
+/// element a sort would put at its index, found with two selections
+/// (p99 first, then p50 among the elements below it) instead of a sort.
+fn percentiles_us(ps: &mut [u64]) -> [Option<f64>; 3] {
+    let Some(last) = ps.len().checked_sub(1) else {
+        return [None; 3];
+    };
+    let (i50, i99) = (last * 50 / 100, last * 99 / 100);
+    let (below, &mut p99, above) = ps.select_nth_unstable(i99);
+    let max = above.iter().copied().max().unwrap_or(p99);
+    let p50 = if i50 == i99 {
+        p99
+    } else {
+        *below.select_nth_unstable(i50).1
+    };
+    [p50, p99, max].map(|v| Some(ps_to_us(v)))
 }
 
 fn ps_to_us(ps: u64) -> f64 {
@@ -151,6 +161,7 @@ fn ps_to_us(ps: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::config::ArrivalModel;
+    use proptest::prelude::*;
 
     fn spec() -> TenantSpec {
         TenantSpec::new(
@@ -200,5 +211,33 @@ mod tests {
         let json = serde_json::to_string(&row).unwrap();
         assert!(json.contains("\"p50_us\":null"));
         assert!(json.contains("\"achieved_gbps\":null"));
+    }
+
+    /// The old definition: index the fully sorted vector.
+    fn sorted_percentiles_us(ps: &[u64]) -> [Option<f64>; 3] {
+        let mut sorted = ps.to_vec();
+        sorted.sort_unstable();
+        let at = |p: usize| {
+            sorted
+                .get(sorted.len().saturating_sub(1) * p / 100)
+                .map(|&v| ps_to_us(v))
+        };
+        [at(50), at(99), sorted.last().map(|&v| ps_to_us(v))]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+        #[test]
+        fn selection_percentiles_match_the_sort(
+            (len, range) in (1usize..=1000, 1u64..=2000),
+            seed in any::<u64>(),
+        ) {
+            // Values drawn from a small range repeat, so ties around the
+            // selected ranks are common.
+            let mut rng = crate::loadgen::SplitMix64::new(seed);
+            let mut ps: Vec<u64> = (0..len).map(|_| rng.next_u64() % range).collect();
+            let want = sorted_percentiles_us(&ps);
+            prop_assert_eq!(percentiles_us(&mut ps), want);
+        }
     }
 }

@@ -67,9 +67,15 @@ impl WeightedFair {
     }
 
     /// Charges `tenant` for `elapsed_ps` picoseconds of device time.
+    /// The quotient is `elapsed_ps * SCALE / weight` exactly, taken in
+    /// `u64` whenever the product fits (services under ~17.6 s) and in
+    /// `u128` otherwise.
     pub fn charge(&mut self, tenant: usize, elapsed_ps: u64) {
-        let weight = self.weights[tenant] as u128;
-        self.vwork[tenant] += elapsed_ps as u128 * SCALE / weight;
+        let weight = self.weights[tenant];
+        self.vwork[tenant] += match elapsed_ps.checked_mul(SCALE as u64) {
+            Some(scaled) => (scaled / weight as u64) as u128,
+            None => elapsed_ps as u128 * SCALE / weight as u128,
+        };
     }
 
     /// Current virtual work (tests and debugging).
@@ -143,5 +149,21 @@ mod tests {
         // Tenant 0 keeps its higher vwork (max with the floor), so tenant
         // 1 is next.
         assert_eq!(sched.pick(0..2), Some(1));
+    }
+
+    #[test]
+    fn charge_matches_the_u128_quotient_on_both_paths() {
+        let fits = u64::MAX >> 20;
+        for weight in [1u32, 2, 3, 4, 7, 1000, 1 << 31, u32::MAX] {
+            for ps in [0, 1, 999_999, fits - 1, fits, fits + 1, u64::MAX] {
+                let mut sched = WeightedFair::new(vec![weight]);
+                sched.charge(0, ps);
+                assert_eq!(
+                    sched.vwork(0),
+                    ps as u128 * SCALE / weight as u128,
+                    "{ps} ps at weight {weight}"
+                );
+            }
+        }
     }
 }

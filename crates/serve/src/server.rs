@@ -19,18 +19,26 @@
 //! - **Tiebreak.** Equal virtual work breaks to the lowest tenant id
 //!   ([`WeightedFair::pick`]).
 //!
+//! The loop caches each tenant's next arrival and queue-head arrival,
+//! updating them only where they change; `tests/loop_equivalence.rs` pins
+//! its reports byte-for-byte against an uncached copy of the loop.
+//!
 //! # Memoization
 //!
-//! `Ssd::scomp` quiesces the device to t = 0 per request, so a
-//! workload's [`ServiceProfile`] is a pure function of the workload.
-//! With [`ServeConfig::memoize`] on (the default), each workload runs
-//! once on the real device and subsequent requests replay its profile —
-//! a thousand-request serving sweep costs a handful of device
-//! executions. The `memoize_is_observationally_equivalent` test and the
-//! serving determinism suite pin that this is invisible in the report.
+//! `Ssd::scomp` quiesces the device to t = 0 per request, so a read-only
+//! workload's [`ServiceProfile`] is a pure function of the workload and
+//! the device's flash state. With [`ServeConfig::memoize`] on (the
+//! default), each workload the instance calls [`Instance::memoizable`]
+//! runs once on the real device and subsequent requests replay its
+//! profile — a thousand-request serving sweep costs a handful of device
+//! executions. A workload that writes flash changes that state (FTL
+//! mapping, wear, GC placement), so it executes every time and drops
+//! every cached profile: the next request of each workload runs on the
+//! changed device. The `memoize_is_observationally_equivalent` test, the
+//! mixed read/write test in `instance.rs` and the serving determinism
+//! suite pin that this is invisible in the report.
 
 use crate::config::ServeConfig;
-use crate::counters::{record_completion, record_submission};
 use crate::error::ServeError;
 use crate::instance::{Instance, ServiceProfile};
 use crate::loadgen::TenantLoad;
@@ -72,6 +80,17 @@ pub fn serve(instance: &mut dyn Instance, cfg: &ServeConfig) -> Result<ServeRepo
     let mut metrics: Vec<TenantMetrics> = (0..n).map(|_| TenantMetrics::default()).collect();
     let mut profiles: Vec<Option<ServiceProfile>> = vec![None; registered];
 
+    // Each run memoizes only the workloads its instance calls pure.
+    let memoizable: Vec<bool> = (0..registered)
+        .map(|w| cfg.memoize && instance.memoizable(w))
+        .collect();
+
+    // Cached event state, kept equal to `loads[t].peek()` and
+    // `queues.head_arrival(t)` (in ps, `NEVER` for `None`) by updating it
+    // wherever those change.
+    let mut next_at: Vec<u64> = loads.iter().map(|l| ps(l.peek())).collect();
+    let mut head_at: Vec<u64> = vec![NEVER; n];
+
     let mut device_free = SimTime::ZERO;
     let mut device_busy = SimDur::ZERO;
     let mut last_completion = SimTime::ZERO;
@@ -80,63 +99,65 @@ pub fn serve(instance: &mut dyn Instance, cfg: &ServeConfig) -> Result<ServeRepo
     let mut total_rejected = 0u64;
 
     loop {
-        let next_arrival = loads.iter().filter_map(|l| l.peek()).min();
+        let at = next_at.iter().copied().min().unwrap_or(NEVER);
+        let head = head_at.iter().copied().min().unwrap_or(NEVER);
 
-        // Nothing queued: jump to the next arrival or finish.
-        let Some(head) = queues.earliest_head() else {
-            match next_arrival {
-                Some(at) => {
-                    admit_all_at(
-                        at,
-                        &mut loads,
-                        &mut queues,
-                        &mut sched,
-                        &mut metrics,
-                        &mut total_rejected,
-                    );
-                    continue;
+        // Arrivals due at or before the dispatch moment (or any arrival,
+        // when nothing is queued) are admitted first — they change
+        // backlog and eligibility. Every submission due at `at` is
+        // admitted in tenant-id order (ties within a tenant pop in client
+        // order — that is `TenantLoad::pop`'s rule). Rejections are typed
+        // outcomes: counted, and fed back to closed-loop clients so a
+        // rejected attempt still consumes its slot.
+        if at != NEVER && at <= device_free.as_ps().max(head) {
+            for t in 0..n {
+                while next_at[t] == at {
+                    let sub = loads[t].pop().expect("peeked submission pops");
+                    let admitted = queues.submit(sub).is_ok();
+                    metrics[t].on_submission(admitted);
+                    if admitted {
+                        // Queued work arrived no later than `at`.
+                        head_at[t] = head_at[t].min(at);
+                        sched.on_backlog(t);
+                    } else {
+                        total_rejected += 1;
+                        loads[t].on_response(sub.client, SimTime::from_ps(at));
+                    }
+                    next_at[t] = ps(loads[t].peek());
                 }
-                None => break,
             }
-        };
-
-        let dispatch_at = device_free.max(head);
-
-        // Arrivals due at or before the dispatch moment are admitted
-        // first — they change backlog and eligibility.
-        if let Some(at) = next_arrival {
-            if at <= dispatch_at {
-                admit_all_at(
-                    at,
-                    &mut loads,
-                    &mut queues,
-                    &mut sched,
-                    &mut metrics,
-                    &mut total_rejected,
-                );
-                continue;
-            }
+            continue;
         }
 
-        let eligible = (0..n).filter(|&t| queues.head_arrival(t).is_some_and(|a| a <= dispatch_at));
+        // Nothing queued and nothing left to arrive: the run is over.
+        if head == NEVER {
+            break;
+        }
+        let dispatch_at = device_free.max(SimTime::from_ps(head));
+        let eligible = (0..n).filter(|&t| head_at[t] <= dispatch_at.as_ps());
         let tenant = sched
             .pick(eligible)
             .expect("the earliest queue head is always eligible at the dispatch moment");
         let sub = queues.pop(tenant).expect("picked tenant has queued work");
-        if queues.backlog(tenant) == 0 {
+        head_at[tenant] = ps(queues.head_arrival(tenant));
+        if head_at[tenant] == NEVER {
             sched.on_drain(tenant);
         }
 
-        let (profile, memo_hit) = match (cfg.memoize, profiles[sub.workload]) {
-            (true, Some(p)) => (p, true),
-            _ => {
+        let profile = match profiles[sub.workload] {
+            Some(p) => p,
+            None => {
                 let p = instance.execute(sub.workload)?;
-                profiles[sub.workload] = Some(p);
                 executions += 1;
-                (p, false)
+                if memoizable[sub.workload] {
+                    profiles[sub.workload] = Some(p);
+                } else {
+                    // It changed the device under every replayed profile.
+                    profiles.fill(None);
+                }
+                p
             }
         };
-        record_completion(memo_hit);
 
         let completion = dispatch_at + profile.elapsed;
         device_free = completion;
@@ -152,6 +173,7 @@ pub fn serve(instance: &mut dyn Instance, cfg: &ServeConfig) -> Result<ServeRepo
             cfg.tenants[tenant].slo,
         );
         loads[tenant].on_response(sub.client, completion);
+        next_at[tenant] = ps(loads[tenant].peek());
     }
 
     let makespan = last_completion.since(SimTime::ZERO);
@@ -176,32 +198,14 @@ pub fn serve(instance: &mut dyn Instance, cfg: &ServeConfig) -> Result<ServeRepo
     })
 }
 
-/// Admits every submission due exactly at `at`, in tenant-id order (ties
-/// within a tenant pop in client order — that is [`TenantLoad::pop`]'s
-/// rule). Rejections are typed outcomes: counted, and fed back to
-/// closed-loop clients so a rejected attempt still consumes its slot.
-fn admit_all_at(
-    at: SimTime,
-    loads: &mut [TenantLoad],
-    queues: &mut TenantQueues,
-    sched: &mut WeightedFair,
-    metrics: &mut [TenantMetrics],
-    total_rejected: &mut u64,
-) {
-    for tenant in 0..loads.len() {
-        while loads[tenant].peek() == Some(at) {
-            let sub = loads[tenant].pop().expect("peeked submission pops");
-            let admitted = queues.submit(sub).is_ok();
-            metrics[tenant].on_submission(admitted);
-            record_submission(admitted);
-            if admitted {
-                sched.on_backlog(tenant);
-            } else {
-                *total_rejected += 1;
-                loads[tenant].on_response(sub.client, at);
-            }
-        }
-    }
+/// "No event" in the loop's cached state.
+const NEVER: u64 = u64::MAX;
+
+/// An event instant in picoseconds, or [`NEVER`]. No event reaches
+/// `u64::MAX` ps (about 213 simulated days): simulated time is added
+/// unchecked and would overflow first.
+fn ps(t: Option<SimTime>) -> u64 {
+    t.map_or(NEVER, SimTime::as_ps)
 }
 
 #[cfg(test)]
