@@ -2,12 +2,12 @@
 //!
 //! The hot-path refactors (predecoded dispatch, flattened caches, the
 //! streambuffer word fast path) must keep every report bit-identical:
-//! these tests lock the serialized fig13/fig14/fig16 reports at test
-//! scale against hashes captured before the refactor. Any timing-model
+//! these tests lock the serialized fig13/fig14/fig15/fig16 reports at
+//! test scale against hashes captured before the refactor. Any timing-model
 //! or counter drift shows up here as a hash mismatch long before a
 //! reviewer would spot it in a figure.
 
-use assasin_bench::experiments::{fig13, fig14, fig16};
+use assasin_bench::experiments::{fig13, fig14, fig15, fig16};
 use assasin_bench::Scale;
 
 /// FNV-1a 64-bit over the serialized report (no external hash crates in
@@ -34,6 +34,9 @@ fn hash_json<T: serde::Serialize>(report: &T) -> u64 {
 const GOLDEN_FIG13: u64 = 0x591b22e89ad67746;
 const GOLDEN_FIG14: u64 = 0x9d7d2d404949c717;
 const GOLDEN_FIG16: u64 = 0x23e16ba2d2ff54d3;
+/// Captured before Baseline cores ran their rounds with deferred DRAM
+/// timing (DESIGN.md §11), which must not move a byte of Figure 15.
+const GOLDEN_FIG15: u64 = 0xf65d1c9ceac38b68;
 
 #[test]
 fn fig13_report_matches_pre_refactor_bytes() {
@@ -54,4 +57,11 @@ fn fig16_report_matches_pre_refactor_bytes() {
     let h = hash_json(&fig16::run(&Scale::test_scale()));
     println!("fig16 hash: {h:#018x}");
     assert_eq!(h, GOLDEN_FIG16, "fig16 report JSON drifted from golden");
+}
+
+#[test]
+fn fig15_report_matches_pre_refactor_bytes() {
+    let h = hash_json(&fig15::run(&Scale::test_scale()));
+    println!("fig15 hash: {h:#018x}");
+    assert_eq!(h, GOLDEN_FIG15, "fig15 report JSON drifted from golden");
 }

@@ -1,13 +1,16 @@
 //! The cycle-level in-order core interpreter.
 
+mod defer;
+
 use crate::regions::{layout, DramWindow, PingPong};
 use crate::{CoreConfig, EngineKind, StreamEnv};
 use assasin_isa::{csr, AluOp, BranchCond, Instr, Program};
 use assasin_mem::{
-    AccessKind, MemHierarchy, ReadOutcome, Scratchpad, ServedBy, SharedDram, StreamBuffer,
+    AccessKind, MemHierarchy, ReadOutcome, Scratchpad, ServedBy, SharedDram, Step, StreamBuffer,
 };
 use assasin_sim::stats::CycleBreakdown;
-use assasin_sim::{Clock, SimTime};
+use assasin_sim::{Clock, SimDur, SimTime};
+use defer::{Deferred, LoadStall};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -597,6 +600,12 @@ pub struct Core {
     staging: Option<PingPong>,
     breakdown: CycleBreakdown,
     mix: InstrMix,
+    /// The stall of an L1 hit issued on a cycle boundary (every access
+    /// is).
+    l1_stall: u64,
+    /// Present while the core runs ahead of its DRAM-bus timing (see
+    /// [`Core::defer_dram_timing`]).
+    defer: Option<Box<Deferred>>,
 }
 
 impl Core {
@@ -622,6 +631,7 @@ impl Core {
         });
         let staging = (cfg.kind == EngineKind::AssasinSp).then(|| PingPong::new(cfg.staging_bytes));
         let code = predecode_cached(&program, &cfg);
+        let l1_hit = cfg.hierarchy.map_or(SimDur::ZERO, |h| h.l1_hit);
         Core {
             id,
             cfg,
@@ -637,6 +647,8 @@ impl Core {
             staging,
             breakdown: CycleBreakdown::default(),
             mix: InstrMix::default(),
+            l1_stall: stall_cycles(cfg.clock, SimTime::ZERO, SimTime::ZERO + l1_hit),
+            defer: None,
         }
     }
 
@@ -921,6 +933,7 @@ impl Core {
         self.staging = staging;
         self.breakdown = breakdown;
         self.mix = mix;
+        self.defer = None;
         Ok(())
     }
 
@@ -1021,7 +1034,7 @@ impl Core {
     /// host threads at once, each core against its own feed.
     pub fn run_local(&mut self, env: &mut dyn StreamEnv, deadline: SimTime) -> Option<RunOutcome> {
         let period = self.cfg.clock.period_ps();
-        if self.dispatch::<true>(env, deadline.as_ps() / period) {
+        if self.dispatch::<true>(env, deadline.as_ps() / period).0 {
             return None;
         }
         Some(self.outcome())
@@ -1030,12 +1043,18 @@ impl Core {
     /// The dispatch loop behind [`Core::run_cycles`] and
     /// [`Core::run_local`]. With `LOCAL` it stops before any slot that
     /// [`Core::calls_shared`] and returns true; without it the check
-    /// compiles away.
+    /// compiles away. Also returns the cycle the last fetch was made in.
     #[inline(always)]
-    fn dispatch<const LOCAL: bool>(&mut self, env: &mut dyn StreamEnv, cycle_limit: u64) -> bool {
+    fn dispatch<const LOCAL: bool>(
+        &mut self,
+        env: &mut dyn StreamEnv,
+        cycle_limit: u64,
+    ) -> (bool, u64) {
         let mut retired = 0u64;
         let mut at_shared = false;
+        let mut issue = self.cycle;
         while self.state == CoreState::Running && self.cycle < cycle_limit {
+            issue = self.cycle;
             let Some(&slot) = self.code.get(self.pc as usize) else {
                 self.wedge("pc past end of program".into());
                 break;
@@ -1047,7 +1066,7 @@ impl Core {
             retired += self.exec_slot(slot, env, cycle_limit) as u64;
         }
         self.flush_retired(retired);
-        at_shared
+        (at_shared, issue)
     }
 
     /// Would executing `slot` now call [`StreamEnv::drain_page`] or
@@ -1645,21 +1664,30 @@ impl Core {
             let Some(hier) = &mut self.hierarchy else {
                 return Err("DRAM access without a cache hierarchy".into());
             };
-            let (complete, served) =
-                hier.access(AccessKind::Load, self.pc as u64, off, width, issue);
             let value = window.load(off, width);
             let avail = window.avail_at(off);
-            let stall = self.stall_cycles(issue, complete);
-            let bucket: fn(&mut CycleBreakdown) -> &mut u64 = match served {
-                ServedBy::L1 => |b| &mut b.stall_l1,
-                ServedBy::L2 => |b| &mut b.stall_l2,
-                ServedBy::Dram | ServedBy::Prefetch => |b| &mut b.stall_dram,
+            let l1_hit = hier.touch(AccessKind::Load, self.pc as u64, off, width);
+            let (complete, served) = if l1_hit {
+                (issue + hier.config().l1_hit, ServedBy::L1)
+            } else if self.defer.is_none() {
+                hier.settle(AccessKind::Load, issue)
+            } else {
+                hier.price_free(AccessKind::Load, hier.steps(), issue)
             };
-            self.charge(stall, bucket);
-            // Wait further if the firmware has not staged the page yet.
-            if avail > complete {
-                let extra = self.stall_cycles(issue, avail).saturating_sub(stall);
-                self.charge(extra, |b| &mut b.stall_stream);
+            // Steady state: an L1 hit on a staged page.
+            let stall = if l1_hit && avail <= complete {
+                LoadStall::l1(self.l1_stall)
+            } else {
+                LoadStall::new(self.cfg.clock, issue, complete, served, avail)
+            };
+            self.cycle += stall.apply(&mut self.breakdown);
+            if let Some(defer) = &mut self.defer {
+                let steps = if l1_hit {
+                    &[Step::L1][..]
+                } else {
+                    hier.steps()
+                };
+                defer.log_load(issue, steps, avail, complete, stall, self.cfg.clock);
             }
             return Ok(value);
         }
@@ -1709,9 +1737,20 @@ impl Core {
             let Some(hier) = &mut self.hierarchy else {
                 return Err("DRAM access without a cache hierarchy".into());
             };
-            let (complete, _) = hier.access(AccessKind::Store, self.pc as u64, off, width, issue);
-            let stall = self.stall_cycles(issue, complete);
-            self.charge(stall, |b| &mut b.stall_l1);
+            if hier.touch(AccessKind::Store, self.pc as u64, off, width) {
+                self.charge(self.l1_stall, |b| &mut b.stall_l1);
+                return Ok(());
+            }
+            let (complete, _) = match &self.defer {
+                None => hier.settle(AccessKind::Store, issue),
+                Some(_) => hier.price_free(AccessKind::Store, hier.steps(), issue),
+            };
+            let stall = stall_cycles(self.cfg.clock, issue, complete);
+            self.breakdown.stall_l1 += stall;
+            self.cycle += stall;
+            if let Some(defer) = &mut self.defer {
+                defer.log_store(issue, hier.steps(), stall, self.cfg.clock);
+            }
             return Ok(());
         }
         self.scratchpad

@@ -24,7 +24,16 @@ pub mod layout {
 pub struct DramWindow {
     data: Vec<u8>,
     page_bytes: u32,
+    /// `log2(page_bytes)` when that is a power of two: the page of a load
+    /// is then a shift away, not a division.
+    page_shift: Option<u32>,
     avail: Vec<SimTime>,
+}
+
+fn page_shift(page_bytes: u32) -> Option<u32> {
+    page_bytes
+        .is_power_of_two()
+        .then(|| page_bytes.trailing_zeros())
 }
 
 impl DramWindow {
@@ -35,6 +44,7 @@ impl DramWindow {
         DramWindow {
             data: vec![0; size],
             page_bytes,
+            page_shift: page_shift(page_bytes),
             avail: vec![SimTime::ZERO; pages],
         }
     }
@@ -63,8 +73,12 @@ impl DramWindow {
     }
 
     /// When the page containing `offset` becomes readable.
+    #[inline]
     pub fn avail_at(&self, offset: u64) -> SimTime {
-        let p = (offset / self.page_bytes as u64) as usize;
+        let p = match self.page_shift {
+            Some(shift) => offset >> shift,
+            None => offset / self.page_bytes as u64,
+        } as usize;
         self.avail.get(p).copied().unwrap_or(SimTime::ZERO)
     }
 
@@ -74,11 +88,21 @@ impl DramWindow {
     ///
     /// Panics on out-of-window access (an SSD configuration bug, not a
     /// recoverable program condition).
+    #[inline]
     pub fn load(&self, offset: u64, width: u32) -> u32 {
         let start = offset as usize;
-        let mut buf = [0u8; 4];
-        buf[..width as usize].copy_from_slice(&self.data[start..start + width as usize]);
-        u32::from_le_bytes(buf)
+        let d = &self.data;
+        // One arm per width: a fixed-size read, not a variable-length copy.
+        match width {
+            1 => d[start] as u32,
+            2 => u16::from_le_bytes([d[start], d[start + 1]]) as u32,
+            4 => u32::from_le_bytes([d[start], d[start + 1], d[start + 2], d[start + 3]]),
+            w => {
+                let mut buf = [0u8; 4];
+                buf[..w as usize].copy_from_slice(&d[start..start + w as usize]);
+                u32::from_le_bytes(buf)
+            }
+        }
     }
 
     /// Stores the low `width` bytes of `value` little-endian.
@@ -86,10 +110,16 @@ impl DramWindow {
     /// # Panics
     ///
     /// Panics on out-of-window access.
+    #[inline]
     pub fn store(&mut self, offset: u64, width: u32, value: u32) {
         let start = offset as usize;
-        self.data[start..start + width as usize]
-            .copy_from_slice(&value.to_le_bytes()[..width as usize]);
+        let bytes = value.to_le_bytes();
+        match width {
+            1 => self.data[start] = bytes[0],
+            2 => self.data[start..start + 2].copy_from_slice(&bytes[..2]),
+            4 => self.data[start..start + 4].copy_from_slice(&bytes),
+            w => self.data[start..start + w as usize].copy_from_slice(&bytes[..w as usize]),
+        }
     }
 
     /// Reads back a byte range (result extraction).
@@ -141,6 +171,7 @@ impl DramWindow {
         Ok(DramWindow {
             data,
             page_bytes,
+            page_shift: page_shift(page_bytes),
             avail,
         })
     }

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// path — shares one [`Bandwidth`] resource, which is exactly the memory
 /// wall of Section III: at 8 GB/s effective bandwidth, staging traffic plus
 /// compute traffic quickly exceeds capacity.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dram {
     latency: SimDur,
     bus: Bandwidth,
@@ -69,6 +69,11 @@ impl Dram {
     /// Consumes bandwidth but the caller does not wait for latency.
     pub fn post(&mut self, ready: SimTime, bytes: u64) -> SimTime {
         self.bus.transfer(ready, bytes)
+    }
+
+    /// Bus time `bytes` occupy, queueing aside.
+    pub fn service_time(&self, bytes: u64) -> SimDur {
+        self.bus.service_time(bytes)
     }
 
     /// Access latency component.

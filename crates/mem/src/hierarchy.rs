@@ -1,6 +1,6 @@
 //! The cache-DRAM hierarchy used by Baseline/Prefetch cores (Figure 4).
 
-use crate::{Cache, CacheGeometry, DcptPrefetcher, SharedDram};
+use crate::{Cache, CacheGeometry, DcptPrefetcher, Dram, SharedDram};
 use assasin_sim::{SimDur, SimTime};
 use std::collections::HashMap;
 
@@ -79,6 +79,133 @@ impl HierarchyConfig {
     }
 }
 
+/// One step of a demand access, in the order the model takes it: what the
+/// functional half ([`MemHierarchy::touch`]: lookups, fills, evictions)
+/// leaves for the timing half ([`MemHierarchy::price`]: bus grants and the
+/// completion time) to price.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// A dirty victim written back: one line posted at the access's ready
+    /// time, which the access does not wait for.
+    Writeback,
+    /// The next line of the access hit in L1.
+    L1,
+    /// The next line missed L1 and hit in L2.
+    L2,
+    /// The next line was covered by a prefetch whose data is ready at the
+    /// given time.
+    Prefetched(SimTime),
+    /// The next line was filled from DRAM.
+    Fill,
+    /// The prefetcher issued a fill of this line after the demand lines.
+    Prefetch(u64),
+}
+
+/// Where the timing half sends its bus transfers.
+trait Bus {
+    /// Posts `bytes`, ready at `ready`; returns when the bus finishes them.
+    fn post(&mut self, ready: SimTime, bytes: u64) -> SimTime;
+}
+
+impl Bus for Dram {
+    fn post(&mut self, ready: SimTime, bytes: u64) -> SimTime {
+        Dram::post(self, ready, bytes)
+    }
+}
+
+/// The shared bus as if nobody else used it: every transfer starts when it
+/// is ready. The real bus never grants earlier, so a completion priced here
+/// is a lower bound on the real one.
+struct FreeBus {
+    /// `(bytes, service time)` of a fill; every other transfer is a
+    /// writeback, whose completion nobody reads.
+    fill: (u64, SimDur),
+}
+
+impl Bus for FreeBus {
+    fn post(&mut self, ready: SimTime, bytes: u64) -> SimTime {
+        if bytes == self.fill.0 {
+            ready + self.fill.1
+        } else {
+            ready
+        }
+    }
+}
+
+/// What the timing half needs of the configuration, precomputed.
+#[derive(Debug, Clone, Copy)]
+struct Pricing {
+    l1_hit: SimDur,
+    l2_hit: SimDur,
+    line_bytes: u64,
+    /// Bus bytes of one fill: the Baseline data path pays
+    /// `fill_bytes_factor` bus trips per byte (staging write + demand
+    /// read).
+    fill_bytes: u64,
+    /// `dram.latency() * mlp_latency_factor` — the DRAM latency is fixed
+    /// at construction, so the float round-trip is paid once here instead
+    /// of on every fill.
+    exposed_dram_latency: SimDur,
+    /// Bus service time of one fill, for [`MemHierarchy::price_free`].
+    fill_service: SimDur,
+}
+
+impl Pricing {
+    /// The completion rule shared by both buses. Lines complete at their
+    /// level's hit time, at their prefetch's data-ready time, or a fill's
+    /// bus grant plus the exposed DRAM latency (stores retire through the
+    /// store buffer: traffic yes, stall no). The access completes at its
+    /// latest line and is attributed to it (to the first line on a tie).
+    fn complete<B: Bus>(
+        self,
+        kind: AccessKind,
+        steps: &[Step],
+        ready: SimTime,
+        bus: &mut B,
+        mut prefetched: impl FnMut(u64, SimTime),
+    ) -> (SimTime, ServedBy) {
+        let store = matches!(kind, AccessKind::Store);
+        let l1_hit_time = ready + self.l1_hit;
+        let mut complete = ready;
+        let mut served = ServedBy::L1;
+        let mut first = true;
+        for &step in steps {
+            let (t, s) = match step {
+                Step::Writeback => {
+                    bus.post(ready, self.line_bytes);
+                    continue;
+                }
+                Step::Prefetch(line) => {
+                    let bus_done = bus.post(ready, self.fill_bytes);
+                    prefetched(line, bus_done + self.exposed_dram_latency);
+                    continue;
+                }
+                Step::L1 => (l1_hit_time, ServedBy::L1),
+                Step::L2 => (ready + self.l2_hit, ServedBy::L2),
+                Step::Prefetched(_) if store => (l1_hit_time, ServedBy::Prefetch),
+                Step::Prefetched(pf_ready) => (l1_hit_time.max(pf_ready), ServedBy::Prefetch),
+                Step::Fill => {
+                    let bus_done = bus.post(ready, self.fill_bytes);
+                    let t = if store {
+                        l1_hit_time
+                    } else {
+                        bus_done + self.exposed_dram_latency
+                    };
+                    (t, ServedBy::Dram)
+                }
+            };
+            if t > complete {
+                complete = t;
+                served = s;
+            } else if first {
+                served = s;
+            }
+            first = false;
+        }
+        (complete, served)
+    }
+}
+
 /// A per-core cache hierarchy in front of the shared SSD DRAM.
 ///
 /// Timing model: L1 hits cost [`HierarchyConfig::l1_hit`]; L1 misses that
@@ -87,6 +214,10 @@ impl HierarchyConfig {
 /// DRAM without stalling the core. Prefetches issued by DCPT consume real
 /// DRAM bandwidth and can later convert demand misses into
 /// [`ServedBy::Prefetch`] hits.
+///
+/// An access has a functional half, [`MemHierarchy::touch`], which does
+/// not depend on time, and a timing half, [`MemHierarchy::price`], which
+/// books the bus. [`MemHierarchy::access`] runs them back to back.
 #[derive(Debug)]
 pub struct MemHierarchy {
     cfg: HierarchyConfig,
@@ -95,15 +226,15 @@ pub struct MemHierarchy {
     prefetcher: Option<DcptPrefetcher>,
     dram: SharedDram,
     /// In-flight (or completed-but-unclaimed) prefetches: line addr -> data
-    /// ready time.
+    /// ready time. A prefetch's key is inserted by the functional half and
+    /// its time by the timing half.
     inflight_pf: HashMap<u64, SimTime>,
     line_bytes: u32,
     /// Demand traffic brought in from DRAM, in bytes.
     dram_fill_bytes: u64,
-    /// `dram.latency() * mlp_latency_factor`, precomputed — the DRAM
-    /// latency is fixed at construction, so the per-miss float round-trip
-    /// is paid once here instead of on every fill.
-    exposed_dram_latency: SimDur,
+    pricing: Pricing,
+    /// The steps of the last [`MemHierarchy::touch`].
+    steps: Vec<Step>,
 }
 
 impl MemHierarchy {
@@ -113,8 +244,20 @@ impl MemHierarchy {
     /// Builds the hierarchy over the shared DRAM.
     pub fn new(cfg: HierarchyConfig, dram: SharedDram) -> Self {
         let line_bytes = cfg.l1.or(cfg.l2).map(|g| g.line_bytes).unwrap_or(64);
-        let exposed_dram_latency =
-            SimDur::from_secs_f64(dram.lock().latency().as_secs_f64() * cfg.mlp_latency_factor);
+        let fill_bytes = line_bytes as u64 * cfg.fill_bytes_factor as u64;
+        let pricing = {
+            let d = dram.lock();
+            Pricing {
+                l1_hit: cfg.l1_hit,
+                l2_hit: cfg.l2_hit,
+                line_bytes: line_bytes as u64,
+                fill_bytes,
+                exposed_dram_latency: SimDur::from_secs_f64(
+                    d.latency().as_secs_f64() * cfg.mlp_latency_factor,
+                ),
+                fill_service: d.service_time(fill_bytes),
+            }
+        };
         MemHierarchy {
             l1: cfg.l1.map(Cache::new),
             l2: cfg.l2.map(Cache::new),
@@ -128,8 +271,14 @@ impl MemHierarchy {
             inflight_pf: HashMap::new(),
             line_bytes,
             dram_fill_bytes: 0,
-            exposed_dram_latency,
+            pricing,
+            steps: Vec::new(),
         }
+    }
+
+    /// The configuration this hierarchy was built with.
+    pub fn config(&self) -> &HierarchyConfig {
+        &self.cfg
     }
 
     /// Performs a demand access of `bytes` at `addr` issued by the
@@ -138,6 +287,7 @@ impl MemHierarchy {
     ///
     /// Accesses are line-granular: an access spanning two lines touches
     /// both and completes at the later one.
+    #[inline]
     pub fn access(
         &mut self,
         kind: AccessKind,
@@ -146,104 +296,107 @@ impl MemHierarchy {
         bytes: u32,
         ready: SimTime,
     ) -> (SimTime, ServedBy) {
-        let first_line = addr & !(self.line_bytes as u64 - 1);
-        let last_line = (addr + bytes.max(1) as u64 - 1) & !(self.line_bytes as u64 - 1);
+        if self.touch(kind, pc, addr, bytes) {
+            return (ready + self.cfg.l1_hit, ServedBy::L1);
+        }
+        self.settle(kind, ready)
+    }
+
+    /// The functional half of [`MemHierarchy::access`]: cache lookups,
+    /// fills and evictions, the prefetcher's training and the keys of the
+    /// prefetches it issues. Nothing here depends on time. Returns true for
+    /// a single-line L1 hit that trained no prefetcher, which completes
+    /// [`HierarchyConfig::l1_hit`] after it is ready and uses no bus;
+    /// otherwise [`MemHierarchy::steps`] holds what the timing half needs.
+    #[inline]
+    pub fn touch(&mut self, kind: AccessKind, pc: u64, addr: u64, bytes: u32) -> bool {
+        let mask = !(self.line_bytes as u64 - 1);
+        let first_line = addr & mask;
+        let last_line = (addr + bytes.max(1) as u64 - 1) & mask;
+        let store = matches!(kind, AccessKind::Store);
         // Fast path: a single-line access that hits L1 changes nothing
         // besides the line's LRU stamp/dirty bit and the hit counter —
-        // skip the per-line loop, writeback plumbing and prefetch-table
-        // lookups. `try_hit` mutates nothing on miss, so falling through
-        // to the general path below replays the identical state machine.
+        // skip the per-line loop and prefetch-table lookups. `try_hit`
+        // mutates nothing on miss, so falling through to the general path
+        // below replays the identical state machine.
         if first_line == last_line {
             if let Some(l1) = &mut self.l1 {
-                if l1.try_hit(first_line, matches!(kind, AccessKind::Store)) {
-                    if self.prefetcher.is_some() {
-                        self.train_prefetcher(pc, addr, ready);
+                if l1.try_hit(first_line, store) {
+                    if self.prefetcher.is_none() {
+                        return true;
                     }
-                    return (ready + self.cfg.l1_hit, ServedBy::L1);
+                    self.steps.clear();
+                    self.steps.push(Step::L1);
+                    self.train_prefetcher(pc, addr);
+                    return false;
                 }
             }
         }
-        let mut complete = ready;
-        let mut served = ServedBy::L1;
+        self.touch_lines(store, first_line, last_line, pc, addr);
+        false
+    }
+
+    /// The general path of [`MemHierarchy::touch`].
+    fn touch_lines(&mut self, store: bool, first_line: u64, last_line: u64, pc: u64, addr: u64) {
+        self.steps.clear();
         let mut line = first_line;
         loop {
-            let (t, s) = self.access_line(kind, line, ready);
-            if t > complete {
-                complete = t;
-                served = s;
-            } else if line == first_line {
-                served = s;
-            }
+            self.touch_line(store, line);
             if line == last_line {
                 break;
             }
             line += self.line_bytes as u64;
         }
         // Prefetcher observes the demand stream (trains on all accesses).
-        if self.prefetcher.is_some() {
-            self.train_prefetcher(pc, addr, ready);
-        }
-        (complete, served)
+        self.train_prefetcher(pc, addr);
     }
 
-    fn access_line(&mut self, kind: AccessKind, line: u64, ready: SimTime) -> (SimTime, ServedBy) {
-        let l1_hit_time = ready + self.cfg.l1_hit;
+    /// The steps of the last [`MemHierarchy::touch`] that returned false.
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    fn touch_line(&mut self, store: bool, line: u64) {
         // L1 lookup.
         if let Some(l1) = &mut self.l1 {
-            let r = l1.access(line, matches!(kind, AccessKind::Store));
-            if let Some(wb) = r.writeback {
-                self.writeback(wb, ready);
+            let r = l1.access(line, store);
+            if r.writeback.is_some() {
+                self.steps.push(Step::Writeback);
             }
             if r.hit {
-                return (l1_hit_time, ServedBy::L1);
+                self.steps.push(Step::L1);
+                return;
             }
         }
         // Prefetch coverage.
         if let Some(pf_ready) = self.inflight_pf.remove(&line) {
             if let Some(l2) = &mut self.l2 {
-                if let Some(wb) = l2.fill(line) {
-                    self.writeback(wb, ready);
+                if l2.fill(line).is_some() {
+                    self.steps.push(Step::Writeback);
                 }
             }
             if let Some(pf) = &mut self.prefetcher {
                 pf.note_useful();
             }
-            let done = l1_hit_time.max(pf_ready);
-            let served = ServedBy::Prefetch;
-            let store = matches!(kind, AccessKind::Store);
-            return (if store { l1_hit_time } else { done }, served);
+            self.steps.push(Step::Prefetched(pf_ready));
+            return;
         }
         // L2 lookup.
         if let Some(l2) = &mut self.l2 {
             let r = l2.access(line, false);
-            if let Some(wb) = r.writeback {
-                self.writeback(wb, ready);
+            if r.writeback.is_some() {
+                self.steps.push(Step::Writeback);
             }
             if r.hit {
-                return (ready + self.cfg.l2_hit, ServedBy::L2);
+                self.steps.push(Step::L2);
+                return;
             }
         }
-        // DRAM fill: the Baseline data path pays `fill_bytes_factor` bus
-        // trips per byte (staging write + demand read), and a blocking load
-        // sees `mlp_latency_factor` of the access latency.
-        let fill = self.line_bytes as u64 * self.cfg.fill_bytes_factor as u64;
-        self.dram_fill_bytes += fill;
-        let done = match kind {
-            AccessKind::Load => {
-                let bus = self.dram.lock().post(ready, fill);
-                bus + self.exposed_dram_latency
-            }
-            // Store misses fetch the line for ownership but retire through
-            // the store buffer: traffic yes, stall no.
-            AccessKind::Store => {
-                self.dram.lock().post(ready, fill);
-                ready + self.cfg.l1_hit
-            }
-        };
-        (done, ServedBy::Dram)
+        self.dram_fill_bytes += self.pricing.fill_bytes;
+        self.steps.push(Step::Fill);
     }
 
-    fn train_prefetcher(&mut self, pc: u64, addr: u64, now: SimTime) {
+    fn train_prefetcher(&mut self, pc: u64, addr: u64) {
         let Some(pf) = &mut self.prefetcher else {
             return;
         };
@@ -258,18 +411,54 @@ impl MemHierarchy {
             if self.inflight_pf.len() >= Self::MAX_INFLIGHT_PF {
                 break;
             }
-            let fill = self.line_bytes as u64 * self.cfg.fill_bytes_factor as u64;
-            self.dram_fill_bytes += fill;
-            let ready = {
-                let bus = self.dram.lock().post(now, fill);
-                bus + self.exposed_dram_latency
-            };
-            self.inflight_pf.insert(line, ready);
+            self.dram_fill_bytes += self.pricing.fill_bytes;
+            // The data-ready time is the timing half's to set.
+            self.inflight_pf.insert(line, SimTime::ZERO);
+            self.steps.push(Step::Prefetch(line));
         }
     }
 
-    fn writeback(&mut self, _line: u64, ready: SimTime) {
-        self.dram.lock().post(ready, self.line_bytes as u64);
+    /// The timing half of [`MemHierarchy::access`]: books `steps` (from
+    /// [`MemHierarchy::touch`], now or earlier) on the shared DRAM bus for
+    /// an access ready at `ready`, and returns its completion time and the
+    /// level that served it.
+    pub fn price(
+        &mut self,
+        kind: AccessKind,
+        steps: &[Step],
+        ready: SimTime,
+    ) -> (SimTime, ServedBy) {
+        let inflight = &mut self.inflight_pf;
+        let mut bus = self.dram.lock();
+        self.pricing
+            .complete(kind, steps, ready, &mut *bus, |line, at| {
+                inflight.insert(line, at);
+            })
+    }
+
+    /// [`MemHierarchy::price`] of the last touch's own steps.
+    pub fn settle(&mut self, kind: AccessKind, ready: SimTime) -> (SimTime, ServedBy) {
+        let steps = std::mem::take(&mut self.steps);
+        let priced = self.price(kind, &steps, ready);
+        self.steps = steps;
+        priced
+    }
+
+    /// [`MemHierarchy::price`] against a bus nobody else uses, booking
+    /// nothing: a lower bound on the completion the shared bus would give
+    /// at the same `ready` time, whatever else it carries. Prefetch steps
+    /// are not priced.
+    pub fn price_free(
+        &self,
+        kind: AccessKind,
+        steps: &[Step],
+        ready: SimTime,
+    ) -> (SimTime, ServedBy) {
+        let p = self.pricing;
+        let mut bus = FreeBus {
+            fill: (p.fill_bytes, p.fill_service),
+        };
+        p.complete(kind, steps, ready, &mut bus, |_, _| {})
     }
 
     /// Demand-fill traffic brought from DRAM so far, in bytes.

@@ -43,7 +43,7 @@ mod streambuffer;
 pub use cache::{Cache, CacheGeometry};
 pub use dram::{Dram, SharedDram};
 pub use error::MemError;
-pub use hierarchy::{AccessKind, HierarchyConfig, MemHierarchy, ServedBy};
+pub use hierarchy::{AccessKind, HierarchyConfig, MemHierarchy, ServedBy, Step};
 pub use prefetch::DcptPrefetcher;
 pub use scratchpad::Scratchpad;
 pub use streambuffer::{ReadOutcome, StreamBuffer, StreamBufferConfig, WriteOutcome};

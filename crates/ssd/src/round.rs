@@ -1,15 +1,24 @@
 //! The co-simulation round loop, run in two phases (DESIGN.md §11).
 //!
-//! Phase 1 runs every running core without a cache hierarchy up to the
-//! round deadline, to halt, or to just before its first shared-backend
-//! call ([`Core::run_local`]), against its private [`CoreFeed`] only —
-//! on a helper thread leased from `assasin_parallel`'s budget and on the
-//! calling thread at once. Phase 2 then walks the cores in order on the
-//! calling thread: each finishes its round against the [`SharedPlane`].
-//! The shared calls therefore happen in exactly the order of a serial
-//! loop — all of core 0's, then all of core 1's — and the result is
-//! bit-identical to it. Without a helper thread phase 1 is skipped and
-//! phase 2 alone is that serial loop.
+//! Phase 1 runs two kinds of core on a helper thread leased from
+//! `assasin_parallel`'s budget and on the calling thread at once:
+//!
+//! - every running core without a cache hierarchy (AssasinSb,
+//!   AssasinSp), up to the round deadline, to halt, or to just before its
+//!   first shared-backend call ([`Core::run_local`]), against its private
+//!   [`CoreFeed`] only;
+//! - every core whose DRAM-bus timing is deferred (Baseline; see
+//!   [`Core::defer_dram_timing`]), up to the deadline against a free bus
+//!   ([`Core::run_ahead`]), logging the instructions the shared bus could
+//!   delay.
+//!
+//! Phase 2 then walks the cores in order on the calling thread: each
+//! finishes its round against the [`SharedPlane`], or replays the part of
+//! its log a serial round would reach against the real DRAM bus
+//! ([`Core::replay`]). The shared calls and bus transfers therefore happen
+//! in exactly the order of a serial loop — all of core 0's, then all of
+//! core 1's — and the result is bit-identical to it. Without a helper
+//! thread phase 1 is skipped and phase 2 alone is that serial loop.
 
 use crate::backend::{CoreEnv, CoreFeed, SharedPlane};
 use crate::config::CosimMode;
@@ -26,6 +35,10 @@ pub(crate) enum Stop {
     Wedged(String),
     /// The round budget ran out.
     Stuck { rounds: u64, deadline: SimTime },
+    /// The round budget ran out with deferred timing, where the cores'
+    /// serial state is not known: the request must be re-run serially
+    /// from its start for the [`Stop::Stuck`] report.
+    Rerun,
     /// A typed failure from the data plane.
     Failed(SsdError),
 }
@@ -39,7 +52,8 @@ struct Lane {
 
 /// What phase 1 did with a lane in the current round.
 enum Phase1 {
-    /// Not run: no helper, a hierarchy core, or not running.
+    /// Not run: no helper, a serial hierarchy core, not running, or a
+    /// deferred core (phase 2 replays those whatever phase 1 did).
     Idle,
     /// Ran to the end of its round: the outcome [`Core::run`] reports.
     Finished(RunOutcome),
@@ -71,17 +85,24 @@ pub(crate) fn run_rounds(
             })
         })
         .collect();
-    // Cache fills use the shared DRAM bus on almost every miss, so cores
-    // with a hierarchy (Baseline, Prefetch, Sb$) skip phase 1.
-    let local: Vec<usize> = (0..lanes.len())
-        .filter(|&i| lock(&lanes[i]).core.hierarchy().is_none())
+    // Cores with a cache hierarchy fill over the shared DRAM bus, so they
+    // join phase 1 only when their bus timing can be deferred (Baseline);
+    // Prefetch and Sb$ cores run serially in phase 2.
+    let work: Vec<usize> = (0..lanes.len())
+        .filter(|&i| {
+            let core = &lock(&lanes[i]).core;
+            core.hierarchy().is_none() || core.can_defer_dram_timing(cfg.epoch)
+        })
         .collect();
-    let result = if threaded && local.len() >= 2 {
+    let result = if threaded && work.len() >= 2 {
+        for &i in &work {
+            lock(&lanes[i]).core.defer_dram_timing(cfg.epoch);
+        }
         let crew = Crew::default();
         std::thread::scope(|s| {
-            s.spawn(|| crew.work(&lanes, &local));
+            s.spawn(|| crew.work(&lanes, &work));
             let _dismiss = Dismiss(&crew);
-            rounds(cfg, &lanes, shared, Some((&crew, &local)))
+            rounds(cfg, &lanes, shared, Some((&crew, &work)))
         })
     } else {
         rounds(cfg, &lanes, shared, None)
@@ -111,8 +132,8 @@ fn rounds(
     let mut rounds: u64 = 0;
     let mut epochs_skipped: u64 = 0;
     loop {
-        if let Some((crew, local)) = crew {
-            crew.phase1(rounds + 1, deadline, lanes, local)?;
+        if let Some((crew, work)) = crew {
+            crew.phase1(rounds + 1, deadline, lanes, work)?;
         }
         let mut all_done = true;
         let mut min_wake: Option<SimTime> = None;
@@ -122,6 +143,7 @@ fn rounds(
             let outcome = match std::mem::replace(phase1, Phase1::Idle) {
                 Phase1::Finished(outcome) => outcome,
                 Phase1::Parked => core.run(&mut CoreEnv { feed, shared }, deadline),
+                Phase1::Idle if core.defers_dram_timing() => core.replay(deadline),
                 Phase1::Idle if core.state() == &CoreState::Running => {
                     core.run(&mut CoreEnv { feed, shared }, deadline)
                 }
@@ -146,6 +168,13 @@ fn rounds(
         }
         rounds += 1;
         if rounds > cfg.max_rounds {
+            // A core still deferring is ahead of its serial state.
+            if lanes
+                .iter()
+                .any(|lane| lock(lane).core.defers_dram_timing())
+            {
+                return Err(Stop::Rerun);
+            }
             record_cosim(rounds, epochs_skipped);
             return Err(Stop::Stuck { rounds, deadline });
         }
@@ -161,11 +190,14 @@ fn rounds(
     }
 }
 
-/// Phase 1 for one lane: a running core runs against its own feed.
-fn run_local(lane: &Mutex<Lane>, deadline: SimTime) {
+/// Phase 1 for one lane: a running core runs against its own feed, or a
+/// deferred core runs ahead.
+fn run_phase1(lane: &Mutex<Lane>, deadline: SimTime) {
     let mut guard = lock(lane);
     let Lane { core, feed, phase1 } = &mut *guard;
-    if core.state() == &CoreState::Running {
+    if core.defers_dram_timing() {
+        core.run_ahead(feed, deadline);
+    } else if core.state() == &CoreState::Running {
         *phase1 = match core.run_local(feed, deadline) {
             Some(outcome) => Phase1::Finished(outcome),
             None => Phase1::Parked,
@@ -244,9 +276,9 @@ impl Crew {
         }
     }
 
-    fn run_claims(&self, round: u64, deadline: SimTime, lanes: &[Mutex<Lane>], local: &[usize]) {
-        while let Some(slot) = self.claim(round, local.len()) {
-            run_local(&lanes[local[slot]], deadline);
+    fn run_claims(&self, round: u64, deadline: SimTime, lanes: &[Mutex<Lane>], work: &[usize]) {
+        while let Some(slot) = self.claim(round, work.len()) {
+            run_phase1(&lanes[work[slot]], deadline);
             self.finished.fetch_add(1, SeqCst);
         }
     }
@@ -258,14 +290,14 @@ impl Crew {
         round: u64,
         deadline: SimTime,
         lanes: &[Mutex<Lane>],
-        local: &[usize],
+        work: &[usize],
     ) -> Result<(), Stop> {
         self.deadline_ps.store(deadline.as_ps(), SeqCst);
         self.finished.store(0, SeqCst);
         self.cursor.store(round << 32, SeqCst);
-        self.run_claims(round, deadline, lanes, local);
+        self.run_claims(round, deadline, lanes, work);
         let mut spins = 0;
-        while self.finished.load(SeqCst) < local.len() {
+        while self.finished.load(SeqCst) < work.len() {
             if self.lost.load(SeqCst) {
                 return Err(Stop::Failed(SsdError::Invariant(
                     "phase-1 helper thread panicked".into(),
@@ -278,7 +310,7 @@ impl Crew {
 
     /// The helper thread: take lanes of each newly published round until
     /// dismissed.
-    fn work(&self, lanes: &[Mutex<Lane>], local: &[usize]) {
+    fn work(&self, lanes: &[Mutex<Lane>], work: &[usize]) {
         let _lost = Lost(self);
         let mut seen = 0;
         let mut spins = 0;
@@ -291,7 +323,7 @@ impl Crew {
             seen = round;
             spins = 0;
             let deadline = SimTime::from_ps(self.deadline_ps.load(SeqCst));
-            self.run_claims(round, deadline, lanes, local);
+            self.run_claims(round, deadline, lanes, work);
         }
     }
 }

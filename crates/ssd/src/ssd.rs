@@ -575,7 +575,7 @@ impl Ssd {
         if session.lane_ok {
             session.run_lane()?;
         } else {
-            session.run_epochs()?;
+            session.run_epochs(req)?;
         }
         session.finalize()
     }
@@ -613,17 +613,7 @@ impl Ssd {
             )?
         };
 
-        // ---- construct cores ------------------------------------------
-        let mut cores: Vec<Core> = Vec::with_capacity(n_cores);
-        for id in 0..n_cores {
-            let mut core = Core::new(id, core_cfg, program.clone(), Some(self.dram.clone()));
-            for (off, bytes) in req.kernel.scratchpad_image() {
-                core.scratchpad_mut()
-                    .write_bytes(*off as u64, bytes)
-                    .map_err(|e| SsdError::BadRequest(format!("scratchpad image: {e}")))?;
-            }
-            cores.push(core);
-        }
+        let mut cores = new_cores(n_cores, core_cfg, &program, req, &self.dram)?;
 
         let sink = match req.output {
             OutputTarget::Host => Sink::Host,
@@ -677,6 +667,7 @@ impl Ssd {
 
         // ---- per-style setup -------------------------------------------
         let mut mem_out_offsets = vec![0u64; n_cores];
+        let mut mem_staging = None;
         match style {
             AccessStyle::Stream => {
                 for (id, core) in cores.iter_mut().enumerate() {
@@ -687,8 +678,7 @@ impl Ssd {
             }
             AccessStyle::PingPong => {} // banks assembled on demand
             AccessStyle::Mem => {
-                self::stage_windows(
-                    &mut cores,
+                let staging = self::stage_windows(
                     &mut backend,
                     &mut plans,
                     req,
@@ -698,6 +688,8 @@ impl Ssd {
                     self.cfg.media_backoff,
                     &mut mem_out_offsets,
                 )?;
+                staging.install(&mut cores)?;
+                mem_staging = Some(staging);
             }
         }
 
@@ -711,6 +703,7 @@ impl Ssd {
             backend,
             cores,
             mem_out_offsets,
+            mem_staging,
         })
     }
 
@@ -799,7 +792,60 @@ impl Ssd {
     }
 }
 
-/// Stages every planned page into per-core DRAM windows (the Baseline data
+/// A request's cores as they start: the program loaded and the kernel's
+/// scratchpad image written.
+fn new_cores(
+    n_cores: usize,
+    core_cfg: CoreConfig,
+    program: &Program,
+    req: &ScompRequest,
+    dram: &SharedDram,
+) -> Result<Vec<Core>, SsdError> {
+    let mut cores: Vec<Core> = Vec::with_capacity(n_cores);
+    for id in 0..n_cores {
+        let mut core = Core::new(id, core_cfg, program.clone(), Some(dram.clone()));
+        for (off, bytes) in req.kernel.scratchpad_image() {
+            core.scratchpad_mut()
+                .write_bytes(*off as u64, bytes)
+                .map_err(|e| SsdError::BadRequest(format!("scratchpad image: {e}")))?;
+        }
+        cores.push(core);
+    }
+    Ok(cores)
+}
+
+/// The DRAM windows of a Mem-style request (the Baseline data path): each
+/// core's window and launch registers, and every page the firmware staged
+/// into them. Kept until the request ends, so that its cores can be built
+/// again from the start (see [`Session::run_rounds`]).
+struct MemStaging {
+    page_bytes: u32,
+    /// Per core: window size, then the input length, stream stride and
+    /// output offset the kernel reads from its launch registers.
+    windows: Vec<(usize, [u32; 3])>,
+    /// `(core, window offset, payload, staged at)`.
+    pages: Vec<(usize, u64, Bytes, SimTime)>,
+}
+
+impl MemStaging {
+    /// Attaches the windows to freshly built `cores` and stages the pages.
+    fn install(&self, cores: &mut [Core]) -> Result<(), SsdError> {
+        let (r_len, r_stride, r_out) = assasin_kernels::LaunchInfo::regs();
+        for (core, &(size, [len, stride, out])) in cores.iter_mut().zip(&self.windows) {
+            core.set_window(DramWindow::new(size, self.page_bytes));
+            core.set_reg(r_len, len);
+            core.set_reg(r_stride, stride);
+            core.set_reg(r_out, out);
+        }
+        for (id, offset, payload, at) in &self.pages {
+            let window = cores.get_mut(*id).and_then(|c| c.window_mut());
+            engine_window(window, *id, "mem staging")?.stage(*offset, payload, *at);
+        }
+        Ok(())
+    }
+}
+
+/// Reads every planned page for per-core DRAM windows (the Baseline data
 /// path): flash read, per-page availability time. Round-robins across
 /// cores and streams so channels serve everyone fairly. The DRAM bus cost
 /// of staging is charged when the core's cache fills from the window
@@ -807,7 +853,6 @@ impl Ssd {
 /// read), which also gives the correct consumption-paced backpressure.
 #[allow(clippy::too_many_arguments)]
 fn stage_windows(
-    cores: &mut [Core],
     backend: &mut Backend<'_>,
     plans: &mut [Vec<StreamPlan>],
     req: &ScompRequest,
@@ -816,25 +861,22 @@ fn stage_windows(
     media_retries: u32,
     media_backoff: assasin_sim::SimDur,
     out_offsets: &mut [u64],
-) -> Result<(), SsdError> {
+) -> Result<MemStaging, SsdError> {
     let n_in = req.input_streams.len();
     // Window layout per core: n_in stream regions + output area.
-    for (id, core) in cores.iter_mut().enumerate() {
-        let in_len: u64 = plans[id].first().map(|p| p.remaining_bytes()).unwrap_or(0);
+    let mut windows = Vec::with_capacity(plans.len());
+    for (id, streams) in plans.iter().enumerate() {
+        let in_len: u64 = streams.first().map(|p| p.remaining_bytes()).unwrap_or(0);
         let stride = in_len.next_multiple_of(64);
         let out_offset = (stride * n_in as u64).next_multiple_of(page_bytes as u64);
         let out_space = ((in_len as f64 * n_in as f64 * req.kernel.max_out_per_in()).ceil() as u64)
             .next_multiple_of(64)
             + 64;
         out_offsets[id] = out_offset;
-        core.set_window(DramWindow::new(
+        windows.push((
             (out_offset + out_space) as usize,
-            page_bytes,
+            [in_len as u32, stride as u32, out_offset as u32],
         ));
-        let (r_len, r_stride, r_out) = assasin_kernels::LaunchInfo::regs();
-        core.set_reg(r_len, in_len as u32);
-        core.set_reg(r_stride, stride as u32);
-        core.set_reg(r_out, out_offset as u32);
     }
     // Drain plans into the windows, page by page, round-robin.
     let dram_latency = backend.shared.dram.lock().latency();
@@ -847,12 +889,13 @@ fn stage_windows(
             queues.push((id, sid, stride, pages));
         }
     }
+    let mut pages = Vec::new();
     let mut cursors = vec![0u64; queues.len()];
     let mut progressed = true;
     while progressed {
         progressed = false;
-        for (qi, (id, sid, stride, pages)) in queues.iter_mut().enumerate() {
-            let Some(plan) = pages.pop() else {
+        for (qi, (id, sid, stride, plan_pages)) in queues.iter_mut().enumerate() {
+            let Some(plan) = plan_pages.pop() else {
                 continue;
             };
             progressed = true;
@@ -868,14 +911,14 @@ fn stage_windows(
             backend.feeds[*id].streamed += plan.len as u64;
             let offset = *sid as u64 * *stride + cursors[qi];
             cursors[qi] += plan.len as u64;
-            engine_window(cores[*id].window_mut(), *id, "mem staging")?.stage(
-                offset,
-                &payload,
-                flash_arrival + dram_latency,
-            );
+            pages.push((*id, offset, payload, flash_arrival + dram_latency));
         }
     }
-    Ok(())
+    Ok(MemStaging {
+        page_bytes,
+        windows,
+        pages,
+    })
 }
 
 /// An engine's DRAM window, or a typed invariant error if it is not
@@ -933,6 +976,8 @@ struct Session<'s> {
     backend: Backend<'s>,
     cores: Vec<Core>,
     mem_out_offsets: Vec<u64>,
+    /// The DRAM windows of a Mem-style request.
+    mem_staging: Option<MemStaging>,
 }
 
 impl Session<'_> {
@@ -941,29 +986,57 @@ impl Session<'_> {
     /// thread when the process-wide thread budget has one to lease and
     /// this thread's cap allows it; nested callers (array workers, sweep
     /// points) find the budget spent and run serially.
-    fn run_epochs(&mut self) -> Result<(), SsdError> {
+    fn run_epochs(&mut self, req: &ScompRequest) -> Result<(), SsdError> {
         let lease = assasin_parallel::claim_threads(
             assasin_parallel::current_max_threads()
                 .saturating_sub(1)
                 .min(1),
         );
-        self.run_rounds(lease.claimed() > 0)
+        self.run_rounds(req, lease.claimed() > 0)
     }
 
     /// [`Session::run_epochs`] with the helper thread decided by the
     /// caller.
-    fn run_rounds(&mut self, threaded: bool) -> Result<(), SsdError> {
-        let ran = run_rounds(
+    ///
+    /// A run with deferred DRAM timing that exhausts its round budget
+    /// leaves its cores ahead of their serial state, which the stuck
+    /// report describes. So it is run again serially from the start: the
+    /// DRAM bus as the rounds found it, and the cores built again from
+    /// `req` and the staged windows (the rounds touch nothing else of the
+    /// device in a Mem-style request).
+    fn run_rounds(&mut self, req: &ScompRequest, threaded: bool) -> Result<(), SsdError> {
+        let bus = self
+            .mem_staging
+            .as_ref()
+            .map(|_| self.backend.shared.dram.lock().clone());
+        let mut ran = run_rounds(
             &self.cfg,
             &mut self.cores,
             &mut self.backend.feeds,
             &mut self.backend.shared,
             threaded,
         );
+        if let (Err(Stop::Rerun), Some(staging), Some(bus)) = (&ran, &self.mem_staging, bus) {
+            *self.backend.shared.dram.lock() = bus;
+            let program = req.kernel.program(self.style);
+            let dram = self.backend.shared.dram.clone();
+            self.cores = new_cores(self.cores.len(), self.core_cfg, &program, req, &dram)?;
+            staging.install(&mut self.cores)?;
+            ran = run_rounds(
+                &self.cfg,
+                &mut self.cores,
+                &mut self.backend.feeds,
+                &mut self.backend.shared,
+                false,
+            );
+        }
         ran.map_err(|stop| match stop {
             Stop::Wedged(m) => SsdError::CoreWedged(m),
             Stop::Stuck { rounds, deadline } => {
                 SsdError::Stuck(stuck_report(rounds, deadline, &self.cores, &self.backend))
+            }
+            Stop::Rerun => {
+                SsdError::Invariant("deferred rounds ran out without staged windows".into())
             }
             Stop::Failed(e) => e,
         })
@@ -1237,7 +1310,7 @@ pub fn scomp_group<'a>(
         match ssd.scomp_session(req) {
             Err(e) => slots.push(Slot::Done(Err(e))),
             Ok(mut session) if !session.lane_ok => {
-                let r = match session.run_epochs() {
+                let r = match session.run_epochs(req) {
                     Ok(()) => session.finalize(),
                     Err(e) => Err(e),
                 };
@@ -1590,7 +1663,7 @@ mod tests {
     /// the thread budget holds.
     fn scomp_rounds(ssd: &mut Ssd, req: &ScompRequest, threaded: bool) -> String {
         let run = ssd.scomp_session(req).and_then(|mut session| {
-            session.run_rounds(threaded)?;
+            session.run_rounds(req, threaded)?;
             session.finalize()
         });
         format!("{run:?}")
@@ -1631,6 +1704,46 @@ mod tests {
                     outcomes[0].1 == outcomes[1].1,
                     "{engine:?} flash={flash_out}: device state diverged"
                 );
+            }
+        }
+    }
+
+    /// Deferred DRAM timing needs every instruction that logs no event to
+    /// cost at most one epoch, and a program whose results do not depend
+    /// on time: Baseline's shipped kernels qualify under both the default
+    /// and the test epoch; Prefetch (DCPT) and Sb$ (streams) do not.
+    #[test]
+    fn only_baseline_cores_defer_their_dram_timing() {
+        use assasin_kernels::replicate;
+        let data: Vec<u8> = (0..16 * 1024).map(|i| (i % 241) as u8).collect();
+        for engine in [
+            EngineKind::Baseline,
+            EngineKind::Prefetch,
+            EngineKind::AssasinSbCache,
+        ] {
+            for bundle in [
+                scan_bundle(),
+                KernelBundle::new(
+                    "replicate",
+                    replicate::TUPLE_BYTES,
+                    replicate::COPIES as f64,
+                    replicate::program,
+                ),
+            ] {
+                let mut ssd = make_ssd(engine);
+                let lpas = ssd.load_object(0, &data).unwrap();
+                let req = ScompRequest::new(bundle, vec![lpas])
+                    .with_stream_bytes(vec![data.len() as u64]);
+                let session = ssd.scomp_session(&req).unwrap();
+                for epoch in [session.cfg.epoch, SsdConfig::engine_config(engine).epoch] {
+                    for core in &session.cores {
+                        assert_eq!(
+                            core.can_defer_dram_timing(epoch),
+                            engine == EngineKind::Baseline,
+                            "{engine:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -3,12 +3,16 @@
 //!
 //! With a helper thread leased, each round first runs the DRAM-free cores
 //! (AssasinSb, AssasinSp) in parallel up to their first shared-backend
-//! call, then finishes every core in order on the calling thread
-//! (DESIGN.md §11). Without one, the round is the serial loop. Both must
-//! give the same `ScompResult`, the same device state afterwards, and the
-//! same error text when a request wedges or runs out of rounds — for
-//! random read-path and write-path kernels over 1–4 streams, on
-//! AssasinSb, AssasinSp and Baseline.
+//! call, and the Baseline cores ahead of their DRAM-bus timing; then it
+//! finishes every core in order on the calling thread, replaying the
+//! Baseline cores' bus transfers (DESIGN.md §11). Without one, the round
+//! is the serial loop. Both must give the same `ScompResult`, the same
+//! device state afterwards, and the same error text when a request wedges
+//! or runs out of rounds — for random read-path and write-path kernels
+//! over 1–4 streams, on AssasinSb, AssasinSp and Baseline, and for
+//! Baseline kernels that straddle cache lines, reach pages before they are
+//! staged, write back dirty lines, or read the clock or a stream (which
+//! keeps their rounds serial).
 //!
 //! The thread cap comes from `assasin_parallel::with_max_threads`; the
 //! helper itself from the process-wide budget, so the tests of this file
@@ -16,7 +20,7 @@
 //! and both arms are then serial).
 
 use assasin_core::EngineKind;
-use assasin_isa::{Assembler, Program, Reg};
+use assasin_isa::{csr, Assembler, Program, Reg};
 use assasin_kernels::{AccessStyle, KernelIo};
 use assasin_parallel::with_max_threads;
 use assasin_ssd::{KernelBundle, ScompRequest, Ssd, SsdConfig};
@@ -53,6 +57,21 @@ struct Shape {
     work: u32,
     xor: bool,
     wedge_at: Option<u32>,
+    twist: Twist,
+}
+
+/// Variations on a Baseline (DRAM-window) kernel.
+#[derive(Debug, Clone, Copy, Default)]
+struct Twist {
+    /// Also load the word two bytes into each tuple of stream 0, which
+    /// straddles a cache line every 16th tuple.
+    straddle: bool,
+    /// Mix the `CYCLE` CSR into the result, which makes the core's timing
+    /// visible, so its rounds must run serially.
+    cycle_csr: bool,
+    /// Ask stream 0 how many bytes it holds: a stream instruction, so the
+    /// rounds run serially.
+    stream_op: bool,
 }
 
 fn program(shape: Shape, style: AccessStyle) -> Program {
@@ -67,6 +86,18 @@ fn program(shape: Shape, style: AccessStyle) -> Program {
         } else {
             asm.add(Reg::T0, Reg::T0, Reg::T1);
         }
+    }
+    if shape.twist.straddle {
+        io.load(&mut asm, Reg::T1, 0, 2, 4, false);
+        asm.add(Reg::T0, Reg::T0, Reg::T1);
+    }
+    if shape.twist.cycle_csr {
+        asm.csrr(Reg::T2, csr::CYCLE);
+        asm.xor(Reg::T0, Reg::T0, Reg::T2);
+    }
+    if shape.twist.stream_op {
+        asm.stream_avail(Reg::T2, 0);
+        asm.add(Reg::T0, Reg::T0, Reg::T2);
     }
     for _ in 0..shape.work {
         asm.slli(Reg::T2, Reg::T0, 3);
@@ -137,7 +168,25 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
         work,
         xor,
         wedge_at: None,
+        twist: Twist::default(),
     })
+}
+
+fn baseline_shape_strategy() -> impl Strategy<Value = Shape> {
+    (
+        shape_strategy(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(shape, straddle, cycle_csr, stream_op)| Shape {
+            twist: Twist {
+                straddle,
+                cycle_csr,
+                stream_op,
+            },
+            ..shape
+        })
 }
 
 proptest! {
@@ -181,6 +230,50 @@ proptest! {
         let rounds = 1 + salt % 3;
         let one = run(1, engine, shape, tuples, salt, flash_out, Some(rounds));
         let two = run(2, engine, shape, tuples, salt, flash_out, Some(rounds));
+        prop_assert!(one.0.contains("co-sim rounds"), "{}", one.0);
+        prop_assert_eq!(&one.0, &two.0, "stuck reports diverged");
+        prop_assert!(one.1 == two.1, "device state diverged after a stuck request");
+    }
+
+    /// Baseline kernels over up to 40 pages a stream: cores reach pages
+    /// before the firmware stages them, and up to 80 KiB of output a core
+    /// evicts dirty lines from its 32 KiB L1.
+    #[test]
+    fn baseline_kernels_match_serial(
+        shape in baseline_shape_strategy(),
+        tuples in 1usize..40_000,
+        salt in 0u64..1_000_000,
+        flash_out in any::<bool>(),
+    ) {
+        let _one_at_a_time = serial();
+        let one = run(1, EngineKind::Baseline, shape, tuples, salt, flash_out, None);
+        let two = run(2, EngineKind::Baseline, shape, tuples, salt, flash_out, None);
+        prop_assert!(one.0.starts_with("ok"), "{}", one.0);
+        prop_assert_eq!(&one.0, &two.0, "results diverged");
+        prop_assert!(one.1 == two.1, "device state diverged");
+    }
+
+    /// A Baseline request that wedges late, or runs out of rounds after
+    /// many deferred rounds, reports what the serial loop reports.
+    #[test]
+    fn baseline_wedges_and_stuck_requests_fail_identically(
+        shape in baseline_shape_strategy(),
+        wedge_at in 1u32..4_000,
+        rounds in 1u64..12,
+        salt in 0u64..1_000_000,
+        flash_out in any::<bool>(),
+    ) {
+        let _one_at_a_time = serial();
+        let tuples = 8 * 4_000;
+        let wedging = Shape { wedge_at: Some(wedge_at), ..shape };
+        let one = run(1, EngineKind::Baseline, wedging, tuples, salt, flash_out, None);
+        let two = run(2, EngineKind::Baseline, wedging, tuples, salt, flash_out, None);
+        prop_assert!(one.0.contains("wedged"), "{}", one.0);
+        prop_assert_eq!(&one.0, &two.0, "wedge reports diverged");
+        prop_assert!(one.1 == two.1, "device state diverged after a wedge");
+
+        let one = run(1, EngineKind::Baseline, shape, tuples, salt, flash_out, Some(rounds));
+        let two = run(2, EngineKind::Baseline, shape, tuples, salt, flash_out, Some(rounds));
         prop_assert!(one.0.contains("co-sim rounds"), "{}", one.0);
         prop_assert_eq!(&one.0, &two.0, "stuck reports diverged");
         prop_assert!(one.1 == two.1, "device state diverged after a stuck request");
